@@ -29,12 +29,10 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use actuary_arch::{partition::equal_chiplets, Portfolio, System};
-use actuary_dse::explore::{explore, ExploreSpace};
+use actuary_dse::explore::{explore, ExploreMode, ExploreRequest};
 use actuary_dse::optimizer::{recommend, SearchSpace};
-use actuary_dse::portfolio::{
-    explore_portfolio, parse_fsmc_situation, PortfolioSpace, ReuseScheme,
-};
-use actuary_dse::refine::{explore_portfolio_refined_with, explore_refined_with, RefineOptions};
+use actuary_dse::portfolio::{parse_fsmc_situation, PortfolioResult, PortfolioSpace, ReuseScheme};
+use actuary_dse::refine::RefineOptions;
 use actuary_mc::{simulate_system, DefectProcess, McConfig};
 use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
 use actuary_tech::{IntegrationKind, TechLibrary};
@@ -577,11 +575,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<(), String> {
-    let mut space = PortfolioSpace {
-        flows: vec![AssemblyFlow::ChipLast],
-        schemes: vec![ReuseScheme::None],
-        ..PortfolioSpace::default()
-    };
+    let mut space = PortfolioSpace::single_system();
     if let Some(raw) = flags.get("nodes") {
         space.nodes = parse_list(raw, "nodes", |s| Ok(s.to_string()))?;
     }
@@ -678,104 +672,57 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
                 .to_string(),
         );
     }
-    if flags.contains_key("quantity-stride") && !flags.contains_key("refine") {
+    let mode = if flags.contains_key("refine") {
+        ExploreMode::refine(parse_refine_options(flags)?)
+    } else if flags.contains_key("quantity-stride") {
         return Err("--quantity-stride tunes the coarse-to-fine walk; add --refine".to_string());
-    }
-    let threads = get_u64_or(flags, "threads", 0)? as usize;
-
-    // A portfolio request (a scheme or flow axis) runs the portfolio
-    // engine; a plain request stays on the single-system grid and output.
-    let portfolio_mode = flags.contains_key("schemes") || flags.contains_key("flow-axis");
-    if portfolio_mode {
-        return cmd_explore_portfolio(lib, flags, &space, threads);
-    }
-
-    let single = ExploreSpace {
-        nodes: space.nodes,
-        areas_mm2: space.areas_mm2,
-        quantities: space.quantities,
-        integrations: space.integrations,
-        chiplet_counts: space.chiplet_counts,
-        flow: space.flows[0],
-    };
-    let result = if flags.contains_key("refine") {
-        explore_refined_with(lib, &single, threads, parse_refine_options(flags)?)
     } else {
-        explore(lib, &single, threads)
-    }
-    .map_err(|e| e.to_string())?;
+        ExploreMode::Exhaustive
+    };
+    let threads = get_u64_or(flags, "threads", 0)? as usize;
+    let request = ExploreRequest {
+        mode,
+        threads,
+        ..ExploreRequest::default()
+    };
+    let result = explore(lib, &space, request).map_err(|e| e.to_string())?;
+
+    // A plain request (no scheme or flow axis) is the single-system grid:
+    // its one flow and the standalone scheme are implied, so its CSV
+    // artifacts drop those columns.
+    let plain = !flags.contains_key("schemes") && !flags.contains_key("flow-axis");
+    let dropped: &[&str] = if plain {
+        &["flow", "scheme", "scheme_params"]
+    } else {
+        &[]
+    };
+    // Status lines go to stderr: stdout may be carrying `--csv` bytes.
     if let Some(path) = flags.get("pareto-out") {
         stream_to_file(path, |sink| {
-            result.pareto_program_artifact().write_csv_to(sink)
+            result
+                .pareto_program_artifact()
+                .without_columns(dropped)
+                .write_csv_to(sink)
         })?;
-        // No point count in the message: counting would recompute the
-        // front the artifact write just streamed.
-        println!("wrote the program-Pareto front to {path}");
+        // No point count in the message: counting would recompute every
+        // scheme's front the artifact write just streamed.
+        eprintln!("wrote the program-Pareto front to {path}");
     }
     if let Some(path) = flags.get("out") {
-        stream_to_file(path, |sink| result.grid_artifact().write_csv_to(sink))?;
-        println!("wrote {} grid cells to {path}", result.len());
+        stream_to_file(path, |sink| {
+            result
+                .grid_artifact()
+                .without_columns(dropped)
+                .write_csv_to(sink)
+        })?;
+        eprintln!("wrote {} grid cells to {path}", result.len());
         return Ok(());
     }
     if flags.contains_key("csv") {
-        print!("{}", result.grid_artifact().csv());
+        print!("{}", result.grid_artifact().without_columns(dropped).csv());
         return Ok(());
     }
-
-    println!("explored {result}\n");
-    println!("cheapest configuration per (node, area, quantity):");
-    let mut winners = actuary_report::Table::new(vec![
-        "node",
-        "area_mm2",
-        "quantity",
-        "integration",
-        "chiplets",
-        "per-unit",
-        "vs SoC",
-    ]);
-    for w in result.winners() {
-        let (integration, chiplets, per_unit) = match &w.best {
-            Some(c) => (
-                c.integration.to_string(),
-                c.chiplets.to_string(),
-                c.per_unit.to_string(),
-            ),
-            None => ("-".to_string(), "-".to_string(), "infeasible".to_string()),
-        };
-        winners.push_row(vec![
-            w.node.clone(),
-            format!("{}", w.area_mm2),
-            Quantity::new(w.quantity).to_string(),
-            integration,
-            chiplets,
-            per_unit,
-            w.saving_vs_soc_display().unwrap_or_else(|| "-".to_string()),
-        ]);
-    }
-    println!("{winners}");
-
-    println!("Pareto front over (per-unit cost, chiplet count):");
-    let mut front = actuary_report::Table::new(vec![
-        "per-unit",
-        "chiplets",
-        "node",
-        "area_mm2",
-        "quantity",
-        "integration",
-    ]);
-    for cell in result.pareto_front() {
-        let c = cell.outcome.candidate().expect("Pareto cells are feasible");
-        front.push_row(vec![
-            c.per_unit.to_string(),
-            cell.chiplets.to_string(),
-            cell.node.clone(),
-            format!("{}", cell.area_mm2),
-            Quantity::new(cell.quantity).to_string(),
-            cell.integration.to_string(),
-        ]);
-    }
-    println!("{front}");
-    println!("(re-run with --csv for the full machine-readable grid)");
+    print_explore_summary(&result);
     Ok(())
 }
 
@@ -805,38 +752,9 @@ fn parse_refine_options(flags: &BTreeMap<String, String>) -> Result<RefineOption
     })
 }
 
-/// The `--schemes` / `--flow-axis` output path: per-scheme winner tables
-/// and Pareto fronts over the portfolio grid.
-fn cmd_explore_portfolio(
-    lib: &TechLibrary,
-    flags: &BTreeMap<String, String>,
-    space: &PortfolioSpace,
-    threads: usize,
-) -> Result<(), String> {
-    let result = if flags.contains_key("refine") {
-        explore_portfolio_refined_with(lib, space, threads, parse_refine_options(flags)?)
-    } else {
-        explore_portfolio(lib, space, threads)
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(path) = flags.get("pareto-out") {
-        stream_to_file(path, |sink| {
-            result.pareto_program_artifact().write_csv_to(sink)
-        })?;
-        // No point count in the message: counting would recompute every
-        // scheme's front the artifact write just streamed.
-        println!("wrote the program-Pareto front to {path}");
-    }
-    if let Some(path) = flags.get("out") {
-        stream_to_file(path, |sink| result.grid_artifact().write_csv_to(sink))?;
-        println!("wrote {} grid cells to {path}", result.len());
-        return Ok(());
-    }
-    if flags.contains_key("csv") {
-        print!("{}", result.grid_artifact().csv());
-        return Ok(());
-    }
-
+/// Prints the per-scheme winner tables and Pareto fronts of an explore
+/// run.
+fn print_explore_summary(result: &PortfolioResult) {
     println!("explored {result}\n");
     for &scheme in &result.space().schemes {
         println!("[{scheme}] cheapest configuration per (node, area, quantity):");
@@ -898,7 +816,6 @@ fn cmd_explore_portfolio(
         println!();
     }
     println!("(re-run with --csv or --out FILE for the full machine-readable grid)");
-    Ok(())
 }
 
 /// `actuary run <scenario.toml>`: parse, lower and execute a declarative

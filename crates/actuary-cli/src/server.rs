@@ -71,8 +71,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use actuary_dse::explore::ExploreMode;
 use actuary_dse::portfolio::SharedCoreCache;
-use actuary_dse::refine::ExploreMode;
 use actuary_obs::clock::{self, Stopwatch, Tick};
 use actuary_obs::log::{self, Format, Level, RateLimited};
 use actuary_obs::metrics::{LATENCY_SECONDS, SIZE_BYTES};
@@ -1366,7 +1366,7 @@ fn check_served_grid_bound(scenario: &Scenario) -> Result<(), String> {
         .unwrap_or(u128::MAX);
         let cap = match explore.mode {
             ExploreMode::Exhaustive => MAX_SERVED_CELLS,
-            ExploreMode::Refine => MAX_SERVED_CELLS_REFINE,
+            ExploreMode::Refine { .. } => MAX_SERVED_CELLS_REFINE,
         };
         if cells > cap {
             return Err(format!(

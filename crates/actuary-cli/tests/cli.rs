@@ -383,7 +383,7 @@ fn explore_schemes_csv_carries_the_new_axes() {
 fn explore_out_streams_the_grid_to_a_file() {
     let path = std::env::temp_dir().join(format!("actuary-explore-{}.csv", std::process::id()));
     let path_str = path.to_str().unwrap();
-    let text = stdout(&[
+    let out = actuary(&[
         "explore",
         "--nodes",
         "7nm",
@@ -396,7 +396,10 @@ fn explore_out_streams_the_grid_to_a_file() {
         "--out",
         path_str,
     ]);
-    assert!(text.contains("wrote 40 grid cells"), "{text}");
+    assert!(out.status.success());
+    // The status line is a diagnostic, not data: it goes to stderr.
+    let status = String::from_utf8_lossy(&out.stderr);
+    assert!(status.contains("wrote 40 grid cells"), "{status}");
     let written = std::fs::read_to_string(&path).expect("the --out file must exist");
     std::fs::remove_file(&path).ok();
     // Identical bytes to the stdout --csv path.
@@ -419,7 +422,7 @@ fn explore_out_streams_the_grid_to_a_file() {
 fn explore_pareto_out_streams_the_program_front() {
     let path = std::env::temp_dir().join(format!("actuary-pareto-{}.csv", std::process::id()));
     let path_str = path.to_str().unwrap();
-    let text = stdout(&[
+    let out = actuary(&[
         "explore",
         "--nodes",
         "7nm",
@@ -434,7 +437,9 @@ fn explore_pareto_out_streams_the_program_front() {
         "--pareto-out",
         path_str,
     ]);
-    assert!(text.contains("program-Pareto"), "{text}");
+    assert!(out.status.success());
+    let status = String::from_utf8_lossy(&out.stderr);
+    assert!(status.contains("program-Pareto"), "{status}");
     let written = std::fs::read_to_string(&path).expect("the --pareto-out file must exist");
     assert_eq!(
         written.lines().next().unwrap(),
@@ -443,7 +448,7 @@ fn explore_pareto_out_streams_the_program_front() {
     assert!(written.lines().count() >= 2, "{written}");
 
     // The portfolio engine's front carries the scheme axis.
-    let scheme_text = stdout(&[
+    let out = actuary(&[
         "explore",
         "--nodes",
         "7nm",
@@ -460,7 +465,9 @@ fn explore_pareto_out_streams_the_program_front() {
         "--pareto-out",
         path_str,
     ]);
-    assert!(scheme_text.contains("program-Pareto"), "{scheme_text}");
+    assert!(out.status.success());
+    let status = String::from_utf8_lossy(&out.stderr);
+    assert!(status.contains("program-Pareto"), "{status}");
     let written = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(
@@ -469,6 +476,43 @@ fn explore_pareto_out_streams_the_program_front() {
          program_total_usd,per_unit_usd"
     );
     assert!(written.contains("scms"), "{written}");
+}
+
+#[test]
+fn explore_csv_stdout_starts_with_the_grid_header_beside_pareto_out() {
+    let path = std::env::temp_dir().join(format!("actuary-csv-pareto-{}.csv", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let grid = [
+        "explore",
+        "--nodes",
+        "7nm",
+        "--areas",
+        "400",
+        "--quantities",
+        "500000",
+        "--threads",
+        "1",
+        "--csv",
+        "--pareto-out",
+        path_str,
+    ];
+    let with_schemes: Vec<&str> = grid.iter().copied().chain(["--schemes", "none"]).collect();
+    for (args, header) in [
+        (
+            &grid[..],
+            "node,area_mm2,quantity,integration,chiplets,status,per_unit_usd,re_per_unit_usd,detail",
+        ),
+        (
+            &with_schemes[..],
+            "node,area_mm2,quantity,integration,chiplets,flow,scheme,scheme_params,status,\
+             per_unit_usd,re_per_unit_usd,detail",
+        ),
+    ] {
+        let csv = stdout(args);
+        assert_eq!(csv.lines().next(), Some(header), "{args:?}: {csv}");
+        assert!(!csv.contains("wrote"), "{args:?}: status text leaked into the CSV");
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

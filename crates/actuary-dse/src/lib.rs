@@ -18,14 +18,16 @@
 //!   d(ln cost)/d(ln parameter) for any scalar knob.
 //! * Trade-off surfaces — [`pareto::pareto_min_indices`] extracts the
 //!   non-dominated frontier from any two-objective sweep.
-//! * Grid-scale exploration — [`explore::explore`] evaluates the full
-//!   (node × area × quantity × integration × chiplet count) Cartesian
-//!   grid in parallel and post-processes it into winner tables, Pareto
-//!   fronts and CSV.
-//! * Adaptive exploration — [`refine::explore_portfolio_refined`] reaches
-//!   the same winner tables and fronts coarse-to-fine, evaluating a
-//!   stride-sampled subgrid and refining only around winner flips and
-//!   front membership changes instead of exhausting the grid.
+//! * Grid-scale exploration — [`explore::explore`] is the one entry point:
+//!   it evaluates the full (node × area × quantity × integration ×
+//!   chiplet count × flow × reuse scheme) Cartesian grid in parallel and
+//!   post-processes it into winner tables, Pareto fronts and CSV. A
+//!   single system is the grid's standalone-scheme case.
+//! * Adaptive exploration — the same entry in
+//!   [`explore::ExploreMode::Refine`] reaches the same winner tables and
+//!   fronts coarse-to-fine, evaluating a stride-sampled subgrid and
+//!   refining only around winner flips and front membership changes
+//!   instead of exhausting the grid.
 //!
 //! # Layer role
 //!

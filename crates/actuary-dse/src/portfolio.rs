@@ -1,9 +1,11 @@
 //! Portfolio-grid exploration: the paper's reuse schemes as a search axis.
 //!
-//! [`crate::explore`] grids *single systems* — it answers "how should one
-//! chip be built", not the paper's headline question "how much does chiplet
-//! *reuse across derivative systems* save" (§5, Figures 8–10). This module
-//! crosses the single-system axes with two more:
+//! A single system answers "how should one chip be built", not the
+//! paper's headline question "how much does chiplet *reuse across
+//! derivative systems* save" (§5, Figures 8–10). This module's grid
+//! crosses the single-system axes with two more — a single-system grid
+//! ([`PortfolioSpace::single_system`]) is simply the one-scheme, one-flow
+//! case:
 //!
 //! * a **reuse-scheme axis** ([`ReuseScheme`]): the standalone baseline
 //!   plus the paper's SCMS, OCME and FSMC schemes, built from
@@ -64,14 +66,16 @@
 //! one allocation, instead of the cells chasing a shared `(core,
 //! quantity)` map cell by cell.
 //!
-//! Work is pulled in chunks from an atomic index (the shared chunked
-//! engine), and results are reassembled in grid order: one thread and N
-//! threads emit byte-identical CSV.
+//! Work is dealt across workers as per-worker deques of chunk ranges,
+//! and a worker that runs dry steals half of a victim's remaining ranges
+//! (the shared work-stealing engine); results are reassembled in grid
+//! order, so one thread and N threads emit byte-identical CSV.
 //!
 //! # Examples
 //!
 //! ```
-//! use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
+//! use actuary_dse::explore::{explore, ExploreRequest};
+//! use actuary_dse::portfolio::{PortfolioSpace, ReuseScheme};
 //! use actuary_tech::TechLibrary;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -82,7 +86,7 @@
 //!     quantities: vec![500_000],
 //!     ..PortfolioSpace::default()
 //! };
-//! let result = explore_portfolio(&lib, &space, 2)?;
+//! let result = explore(&lib, &space, ExploreRequest::default())?;
 //! assert_eq!(result.len(), space.len());
 //! assert!(result.core_evaluations() < result.len());
 //! for winner in result.winners(ReuseScheme::Scms) {
@@ -113,7 +117,7 @@ use crate::pareto::pareto_min_indices;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum ReuseScheme {
     /// No cross-derivative reuse: the cell is a standalone single system
-    /// (the monolithic-portfolio baseline, PR-2's `explore` semantics).
+    /// (the baseline every reuse family is compared against).
     None,
     /// *Single Chiplet Multiple Systems* (§5.1, Figure 8).
     Scms,
@@ -284,17 +288,13 @@ impl SchemeVariant {
 }
 
 impl PortfolioSpace {
-    /// The single-system space `space`, lifted into a one-scheme
-    /// one-flow portfolio space — [`crate::explore::explore`] runs on the
-    /// portfolio engine through this conversion.
-    pub fn from_single_system(space: &crate::explore::ExploreSpace) -> Self {
+    /// The §6 replication grid for *single systems*: the paper's three
+    /// headline nodes, the Figure 4 area range, the Figure 6 quantities,
+    /// all four integration schemes and 1–5 chiplets under the standalone
+    /// scheme and the chip-last flow — 1,620 cells. The default grid of
+    /// `actuary explore` and of a scenario `[explore]` table.
+    pub fn single_system() -> Self {
         PortfolioSpace {
-            nodes: space.nodes.clone(),
-            areas_mm2: space.areas_mm2.clone(),
-            quantities: space.quantities.clone(),
-            integrations: space.integrations.clone(),
-            chiplet_counts: space.chiplet_counts.clone(),
-            flows: vec![space.flow],
             schemes: vec![ReuseScheme::None],
             ..PortfolioSpace::default()
         }
@@ -364,7 +364,7 @@ impl PortfolioSpace {
     /// axis, or [`ArchError::Unit`] for a non-finite area.
     pub fn validate(&self) -> Result<(), ArchError> {
         let axis_err = |axis: &str| ArchError::InvalidArchitecture {
-            reason: format!("portfolio exploration space has no {axis}"),
+            reason: format!("exploration space has no {axis}"),
         };
         if self.nodes.is_empty() {
             return Err(axis_err("nodes"));
@@ -455,9 +455,9 @@ impl PortfolioSpace {
 }
 
 /// Whether the engine may share one RE/NRE core evaluation across every
-/// cell with the same geometry key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorePolicy {
+/// cell with the same geometry key — within one run, or across runs.
+#[derive(Debug, Clone, Copy)]
+pub enum CorePolicy<'c> {
     /// Share cores across cells that differ only in quantity or family
     /// member — the default, ~3× fewer full evaluations on the default
     /// grid with byte-identical output.
@@ -466,6 +466,21 @@ pub enum CorePolicy {
     /// tested against; it exists so the byte-identity claim stays a
     /// mechanical assertion instead of an argument.
     Uncached,
+    /// [`CorePolicy::Cached`], with cores additionally reused *across
+    /// calls* through `cache`. `tag` names the technology library the
+    /// caller evaluates under (any collision-resistant fingerprint — the
+    /// scenario layer uses its canonical library digest); cores computed
+    /// under one tag are invisible to every other, so a cache can safely
+    /// serve requests that carry different library overrides. Output is
+    /// byte-identical to [`CorePolicy::Cached`]; only
+    /// [`PortfolioResult::core_evaluations`] drops, to the number of cores
+    /// the cache could not supply. Hard errors are never cached.
+    Shared {
+        /// The cross-call cache.
+        cache: &'c SharedCoreCache,
+        /// The library fingerprint the cores are keyed under.
+        tag: [u8; 32],
+    },
 }
 
 /// Counters and occupancy of a [`SharedCoreCache`], read without blocking
@@ -898,7 +913,7 @@ pub(crate) fn classify(
     }
 }
 
-/// The outcome of [`explore_portfolio`]: the sparse store of evaluated
+/// The outcome of [`crate::explore::explore`]: the sparse store of evaluated
 /// cells plus the post-processed per-scheme views, all reading as the
 /// dense grid in deterministic order.
 #[derive(Debug, Clone, PartialEq)]
@@ -1614,61 +1629,6 @@ fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> String {
     }
 }
 
-/// Evaluates every cell of `space` on `threads` worker threads (`0` = the
-/// machine's available parallelism) with core caching enabled.
-///
-/// # Errors
-///
-/// See [`explore_portfolio_with`].
-pub fn explore_portfolio(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_with(lib, space, threads, CorePolicy::Cached)
-}
-
-/// Evaluates every cell of `space` under an explicit [`CorePolicy`].
-///
-/// # Errors
-///
-/// Returns [`ArchError::InvalidArchitecture`] for an invalid space,
-/// [`ArchError::Tech`] for an unknown node id, and propagates unexpected
-/// engine errors. Per-cell geometric infeasibility and axis contradictions
-/// are recorded in the cells, not raised.
-pub fn explore_portfolio_with(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-    policy: CorePolicy,
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_impl(lib, space, threads, policy, None)
-}
-
-/// Evaluates every cell of `space` with cores additionally reused *across
-/// calls* through `cache`. `tag` names the technology library the caller
-/// evaluated under (any collision-resistant fingerprint — the scenario
-/// layer uses its canonical library digest); cores computed under one tag
-/// are invisible to every other, so a cache can safely serve requests that
-/// carry different library overrides.
-///
-/// Output is byte-identical to [`explore_portfolio`] on the same inputs;
-/// only [`PortfolioResult::core_evaluations`] drops, to the number of
-/// cores the cache could not supply.
-///
-/// # Errors
-///
-/// See [`explore_portfolio_with`]. Hard errors are never cached.
-pub fn explore_portfolio_shared(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-    cache: &SharedCoreCache,
-    tag: [u8; 32],
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_impl(lib, space, threads, CorePolicy::Cached, Some((cache, tag)))
-}
-
 /// Maps recoverable per-cell failures (infeasible geometry, yield-model
 /// domain) into the per-cell `Err` channel and propagates everything else.
 fn soften(result: Result<CoreValue, ArchError>) -> Result<Result<CoreValue, String>, ArchError> {
@@ -1680,20 +1640,21 @@ fn soften(result: Result<CoreValue, ArchError>) -> Result<Result<CoreValue, Stri
     }
 }
 
-fn explore_portfolio_impl(
+/// Evaluates every cell of a space [`crate::explore::explore`] has
+/// already validated (and whose nodes it resolved) under `cores`.
+/// Per-cell geometric infeasibility and axis contradictions are recorded
+/// in the cells; only unexpected engine errors are raised.
+pub(crate) fn exhaustive(
     lib: &TechLibrary,
     space: &PortfolioSpace,
     threads: usize,
-    policy: CorePolicy,
-    shared: Option<(&SharedCoreCache, [u8; 32])>,
+    cores: CorePolicy<'_>,
 ) -> Result<PortfolioResult, ArchError> {
-    space.validate()?;
-    for id in &space.nodes {
-        lib.node(id).map_err(ArchError::Tech)?;
-    }
-    for center in space.ocme_center_nodes.iter().flatten() {
-        lib.node(center).map_err(ArchError::Tech)?;
-    }
+    let (per_cell, shared) = match cores {
+        CorePolicy::Cached => (false, None),
+        CorePolicy::Uncached => (true, None),
+        CorePolicy::Shared { cache, tag } => (false, Some((cache, tag))),
+    };
 
     // --- Phase A: classify configurations, dedup core keys. --------------
     // Compatibility and geometry depend only on (node, area, integration,
@@ -1733,22 +1694,21 @@ fn explore_portfolio_impl(
                                 fsmc: variant.fsmc,
                                 center_node: variant.center_node.as_deref(),
                             };
-                            template.push(Some(match policy {
-                                CorePolicy::Uncached => Planned::PerCell(spec),
-                                CorePolicy::Cached => {
-                                    let key = CoreKey {
-                                        variant: v_i,
-                                        node: n_i,
-                                        area_bits: area.mm2().to_bits(),
-                                        integration: integration_rank(integration),
-                                        chiplets: key_chiplets,
-                                        flow: flow_rank(flow),
-                                    };
-                                    Planned::Shared(*key_index.entry(key).or_insert_with(|| {
-                                        specs.push(spec);
-                                        specs.len() - 1
-                                    }))
-                                }
+                            template.push(Some(if per_cell {
+                                Planned::PerCell(spec)
+                            } else {
+                                let key = CoreKey {
+                                    variant: v_i,
+                                    node: n_i,
+                                    area_bits: area.mm2().to_bits(),
+                                    integration: integration_rank(integration),
+                                    chiplets: key_chiplets,
+                                    flow: flow_rank(flow),
+                                };
+                                Planned::Shared(*key_index.entry(key).or_insert_with(|| {
+                                    specs.push(spec);
+                                    specs.len() - 1
+                                }))
                             }));
                         }
                     }
@@ -1984,10 +1944,33 @@ fn eval_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, ExploreRequest};
     use actuary_model::AssemblyFlow;
 
     fn lib() -> TechLibrary {
         TechLibrary::paper_defaults().unwrap()
+    }
+
+    fn explore_on(
+        lib: &TechLibrary,
+        space: &PortfolioSpace,
+        threads: usize,
+    ) -> Result<PortfolioResult, ArchError> {
+        explore_cores(lib, space, threads, CorePolicy::Cached)
+    }
+
+    fn explore_cores(
+        lib: &TechLibrary,
+        space: &PortfolioSpace,
+        threads: usize,
+        cores: CorePolicy<'_>,
+    ) -> Result<PortfolioResult, ArchError> {
+        let request = ExploreRequest {
+            threads,
+            cores,
+            ..ExploreRequest::default()
+        };
+        explore(lib, space, request)
     }
 
     fn small_space() -> PortfolioSpace {
@@ -2056,39 +2039,39 @@ mod tests {
             ),
         ];
         for (space, axis) in cases {
-            let err = explore_portfolio(&lib(), &space, 1).expect_err(axis);
+            let err = explore_on(&lib(), &space, 1).expect_err(axis);
             assert!(err.to_string().contains(axis), "{axis}: {err}");
         }
         let dup = PortfolioSpace {
             scms_multiplicities: vec![1, 2, 2],
             ..base.clone()
         };
-        assert!(explore_portfolio(&lib(), &dup, 1).is_err());
+        assert!(explore_on(&lib(), &dup, 1).is_err());
         let fsmc = PortfolioSpace {
             fsmc_situations: vec![(0, 2)],
             ..base.clone()
         };
-        assert!(explore_portfolio(&lib(), &fsmc, 1).is_err());
+        assert!(explore_on(&lib(), &fsmc, 1).is_err());
         let fsmc_dup = PortfolioSpace {
             fsmc_situations: vec![(2, 2), (2, 2)],
             ..base.clone()
         };
-        assert!(explore_portfolio(&lib(), &fsmc_dup, 1).is_err());
+        assert!(explore_on(&lib(), &fsmc_dup, 1).is_err());
         let fsmc_empty = PortfolioSpace {
             fsmc_situations: vec![],
             ..base.clone()
         };
-        assert!(explore_portfolio(&lib(), &fsmc_empty, 1).is_err());
+        assert!(explore_on(&lib(), &fsmc_empty, 1).is_err());
         let center_dup = PortfolioSpace {
             ocme_center_nodes: vec![None, None],
             ..base.clone()
         };
-        assert!(explore_portfolio(&lib(), &center_dup, 1).is_err());
+        assert!(explore_on(&lib(), &center_dup, 1).is_err());
         let center_unknown = PortfolioSpace {
             ocme_center_nodes: vec![Some("9nm".to_string())],
             ..base
         };
-        assert!(explore_portfolio(&lib(), &center_unknown, 1).is_err());
+        assert!(explore_on(&lib(), &center_unknown, 1).is_err());
     }
 
     #[test]
@@ -2106,7 +2089,7 @@ mod tests {
             ..PortfolioSpace::default()
         };
         assert_eq!(space.scheme_variants().len(), 2);
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         assert_eq!(result.len(), 2 * 2);
         let cell = |chiplets: u32, params: &str| {
             result
@@ -2149,7 +2132,7 @@ mod tests {
             ..PortfolioSpace::default()
         };
         assert_eq!(space.scheme_variants().len(), 2);
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         let per_unit = |params: &str| {
             result
                 .cells()
@@ -2170,7 +2153,7 @@ mod tests {
     fn grid_is_exhaustive_and_deterministic_across_threads() {
         let lib = lib();
         let space = small_space();
-        let serial = explore_portfolio(&lib, &space, 1).unwrap();
+        let serial = explore_on(&lib, &space, 1).unwrap();
         assert_eq!(serial.len(), space.len());
         assert_eq!(
             serial.feasible_count() + serial.infeasible_count() + serial.incompatible_count(),
@@ -2178,7 +2161,7 @@ mod tests {
         );
         assert_eq!(serial.pruned_count(), 0, "exhaustive runs prune nothing");
         for threads in [2, 4, 8] {
-            let parallel = explore_portfolio(&lib, &space, threads).unwrap();
+            let parallel = explore_on(&lib, &space, threads).unwrap();
             assert_eq!(serial.cells(), parallel.cells(), "threads={threads}");
             assert_eq!(
                 serial.grid_artifact().csv(),
@@ -2196,8 +2179,8 @@ mod tests {
     fn cached_and_uncached_agree_byte_for_byte_with_fewer_evaluations() {
         let lib = lib();
         let space = small_space();
-        let cached = explore_portfolio_with(&lib, &space, 2, CorePolicy::Cached).unwrap();
-        let uncached = explore_portfolio_with(&lib, &space, 2, CorePolicy::Uncached).unwrap();
+        let cached = explore_cores(&lib, &space, 2, CorePolicy::Cached).unwrap();
+        let uncached = explore_cores(&lib, &space, 2, CorePolicy::Uncached).unwrap();
         assert_eq!(cached.cells(), uncached.cells());
         assert_eq!(cached.grid_artifact().csv(), uncached.grid_artifact().csv());
         assert!(
@@ -2224,7 +2207,7 @@ mod tests {
             schemes: vec![ReuseScheme::Scms],
             ..PortfolioSpace::default()
         };
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         assert_eq!(result.len(), 50);
         // SCMS members are {1, 2, 4}: 47 of 50 counts are incompatible.
         assert_eq!(result.incompatible_count(), 47);
@@ -2268,7 +2251,7 @@ mod tests {
             schemes: vec![ReuseScheme::Scms],
             ..PortfolioSpace::default()
         };
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         assert_eq!(result.feasible_count(), 1);
         let cells = result.cells();
         let cell = &cells[0];
@@ -2305,7 +2288,7 @@ mod tests {
             schemes: vec![ReuseScheme::Scms, ReuseScheme::Ocme, ReuseScheme::Fsmc],
             ..PortfolioSpace::default()
         };
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         let outcome_of = |chiplets: u32, scheme: ReuseScheme| {
             result
                 .cells()
@@ -2360,7 +2343,7 @@ mod tests {
             schemes: ReuseScheme::ALL.to_vec(),
             ..PortfolioSpace::default()
         };
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         let per_unit = |scheme: ReuseScheme| {
             result
                 .cells()
@@ -2382,7 +2365,7 @@ mod tests {
     #[test]
     fn winner_tables_and_pareto_fronts_are_per_scheme() {
         let lib = lib();
-        let result = explore_portfolio(&lib, &small_space(), 2).unwrap();
+        let result = explore_on(&lib, &small_space(), 2).unwrap();
         for &scheme in &ReuseScheme::ALL {
             let winners = result.winners(scheme);
             // One row per (node, area, quantity) operating point.
@@ -2417,7 +2400,7 @@ mod tests {
             schemes: vec![ReuseScheme::None],
             ..PortfolioSpace::default()
         };
-        let result = explore_portfolio(&lib, &space, 1).unwrap();
+        let result = explore_on(&lib, &space, 1).unwrap();
         let cell = |flow: AssemblyFlow| {
             result
                 .cells()
@@ -2436,7 +2419,7 @@ mod tests {
 
     #[test]
     fn csv_shapes_are_machine_readable() {
-        let result = explore_portfolio(&lib(), &small_space(), 2).unwrap();
+        let result = explore_on(&lib(), &small_space(), 2).unwrap();
         let grid = result.grid_artifact().csv();
         assert_eq!(
             grid.lines().next().unwrap(),
@@ -2468,7 +2451,7 @@ mod tests {
 
     #[test]
     fn program_pareto_is_per_scheme_and_non_dominated() {
-        let result = explore_portfolio(&lib(), &small_space(), 2).unwrap();
+        let result = explore_on(&lib(), &small_space(), 2).unwrap();
         for &scheme in &ReuseScheme::ALL {
             let front = result.pareto_program(scheme);
             assert!(!front.is_empty(), "{scheme}");
@@ -2515,14 +2498,32 @@ mod tests {
     fn shared_cache_is_byte_identical_and_skips_warm_cores() {
         let lib = lib();
         let space = small_space();
-        let reference = explore_portfolio(&lib, &space, 1).unwrap();
+        let reference = explore_on(&lib, &space, 1).unwrap();
 
         let cache = SharedCoreCache::new(1024);
-        let cold = explore_portfolio_shared(&lib, &space, 1, &cache, [7; 32]).unwrap();
+        let cold = explore_cores(
+            &lib,
+            &space,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [7; 32],
+            },
+        )
+        .unwrap();
         assert_eq!(render(&cold), render(&reference));
         assert_eq!(cold.core_evaluations(), reference.core_evaluations());
 
-        let warm = explore_portfolio_shared(&lib, &space, 1, &cache, [7; 32]).unwrap();
+        let warm = explore_cores(
+            &lib,
+            &space,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [7; 32],
+            },
+        )
+        .unwrap();
         assert_eq!(render(&warm), render(&reference));
         assert_eq!(
             warm.core_evaluations(),
@@ -2542,7 +2543,16 @@ mod tests {
         let lib = lib();
         let cache = SharedCoreCache::new(1024);
         let first = small_space();
-        explore_portfolio_shared(&lib, &first, 1, &cache, [0; 32]).unwrap();
+        explore_cores(
+            &lib,
+            &first,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [0; 32],
+            },
+        )
+        .unwrap();
 
         // Same nodes/areas/schemes, different quantities and one new area:
         // only the new area's cores need evaluating (quantity is not part
@@ -2552,8 +2562,17 @@ mod tests {
             quantities: vec![100_000, 10_000_000],
             ..small_space()
         };
-        let overlapping = explore_portfolio_shared(&lib, &second, 1, &cache, [0; 32]).unwrap();
-        let from_scratch = explore_portfolio(&lib, &second, 1).unwrap();
+        let overlapping = explore_cores(
+            &lib,
+            &second,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [0; 32],
+            },
+        )
+        .unwrap();
+        let from_scratch = explore_on(&lib, &second, 1).unwrap();
         assert_eq!(render(&overlapping), render(&from_scratch));
         assert!(
             overlapping.core_evaluations() < from_scratch.core_evaluations(),
@@ -2572,8 +2591,26 @@ mod tests {
         let lib = lib();
         let space = small_space();
         let cache = SharedCoreCache::new(1024);
-        let a = explore_portfolio_shared(&lib, &space, 1, &cache, [1; 32]).unwrap();
-        let b = explore_portfolio_shared(&lib, &space, 1, &cache, [2; 32]).unwrap();
+        let a = explore_cores(
+            &lib,
+            &space,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [1; 32],
+            },
+        )
+        .unwrap();
+        let b = explore_cores(
+            &lib,
+            &space,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [2; 32],
+            },
+        )
+        .unwrap();
         assert_eq!(
             a.core_evaluations(),
             b.core_evaluations(),
@@ -2585,11 +2622,20 @@ mod tests {
     fn shared_cache_honors_its_capacity_bound() {
         let lib = lib();
         let space = small_space();
-        let reference = explore_portfolio(&lib, &space, 1).unwrap();
+        let reference = explore_on(&lib, &space, 1).unwrap();
         assert!(reference.core_evaluations() > 4);
 
         let cache = SharedCoreCache::new(4);
-        let result = explore_portfolio_shared(&lib, &space, 1, &cache, [0; 32]).unwrap();
+        let result = explore_cores(
+            &lib,
+            &space,
+            1,
+            CorePolicy::Shared {
+                cache: &cache,
+                tag: [0; 32],
+            },
+        )
+        .unwrap();
         assert_eq!(render(&result), render(&reference));
         let stats = cache.stats();
         assert_eq!(stats.entries, 4, "occupancy stays at the bound");
@@ -2601,7 +2647,16 @@ mod tests {
 
         // Disabled cache: nothing retained, results still correct.
         let off = SharedCoreCache::new(0);
-        let uncachable = explore_portfolio_shared(&lib, &space, 1, &off, [0; 32]).unwrap();
+        let uncachable = explore_cores(
+            &lib,
+            &space,
+            1,
+            CorePolicy::Shared {
+                cache: &off,
+                tag: [0; 32],
+            },
+        )
+        .unwrap();
         assert_eq!(render(&uncachable), render(&reference));
         assert_eq!(off.stats().entries, 0);
     }

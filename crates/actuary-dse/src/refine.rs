@@ -1,8 +1,8 @@
-//! Coarse-to-fine grid refinement: the exhaustive engines' winner tables
+//! Coarse-to-fine grid refinement: the exhaustive walk's winner tables
 //! and Pareto fronts at a fraction of the full evaluations.
 //!
-//! The exhaustive engines ([`crate::explore`], [`crate::portfolio`]) price
-//! every cell of the axis product. The paper's successors explore spaces
+//! The exhaustive walk ([`crate::portfolio`]) prices every cell of the
+//! axis product. The paper's successors explore spaces
 //! where that product reaches 10⁸ cells (Tang & Xie, arXiv:2206.07308;
 //! CATCH, arXiv:2503.15753) — far past what full enumeration can serve.
 //! This module exploits the structure those grids actually have: along the
@@ -56,28 +56,35 @@
 //!
 //! # Streaming
 //!
-//! [`explore_portfolio_refined_observed`] accepts a phase observer that
-//! receives the partial result after each phase together with the cells
-//! that phase newly stored — `actuary serve` uses it to stream a refined
+//! [`crate::explore::ExploreMode::Refine`] carries an optional phase
+//! observer that receives the partial result after each phase together
+//! with the cells that phase newly stored — `actuary serve` uses it to
+//! stream a refined
 //! grid's coarse picture before the run completes (see
 //! `docs/http-api.md`).
 //!
 //! # Examples
 //!
 //! ```
-//! use actuary_dse::explore::ExploreSpace;
-//! use actuary_dse::refine::explore_refined;
+//! use actuary_dse::explore::{explore, ExploreMode, ExploreRequest};
+//! use actuary_dse::portfolio::PortfolioSpace;
+//! use actuary_dse::refine::RefineOptions;
 //! use actuary_tech::TechLibrary;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let lib = TechLibrary::paper_defaults()?;
-//! let space = ExploreSpace {
+//! let space = PortfolioSpace {
 //!     nodes: vec!["7nm".to_string()],
 //!     areas_mm2: (1..=30).map(|i| f64::from(i) * 30.0).collect(),
 //!     quantities: vec![2_000_000],
-//!     ..ExploreSpace::default()
+//!     ..PortfolioSpace::single_system()
 //! };
-//! let refined = explore_refined(&lib, &space, 2)?;
+//! let request = ExploreRequest {
+//!     mode: ExploreMode::refine(RefineOptions::default()),
+//!     threads: 2,
+//!     ..ExploreRequest::default()
+//! };
+//! let refined = explore(&lib, &space, request)?;
 //! assert_eq!(refined.len(), space.len());
 //! // Pruned cells are accounted for, never silently dropped.
 //! assert_eq!(
@@ -92,60 +99,16 @@
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 use actuary_arch::ArchError;
 use actuary_tech::{IntegrationKind, TechLibrary};
 
 use crate::engine::resolve_threads;
-use crate::explore::{CellOutcome, ExploreResult, ExploreSpace};
+use crate::explore::CellOutcome;
 use crate::pareto::pareto_min_indices;
 use crate::portfolio::{
-    explore_portfolio, explore_portfolio_shared, CellIdx, GridShape, PortfolioResult,
-    PortfolioSpace, SharedCoreCache,
+    exhaustive, CellIdx, CorePolicy, GridShape, PortfolioResult, PortfolioSpace, SharedCoreCache,
 };
-
-/// How an exploration request walks its grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreMode {
-    /// Evaluate every cell (the reference path).
-    Exhaustive,
-    /// Coarse-to-fine refinement over the area × quantity plane (this
-    /// module).
-    Refine,
-}
-
-impl ExploreMode {
-    /// Stable lower-case label (used on the CLI and in scenario files).
-    pub fn label(self) -> &'static str {
-        match self {
-            ExploreMode::Exhaustive => "exhaustive",
-            ExploreMode::Refine => "refine",
-        }
-    }
-}
-
-impl fmt::Display for ExploreMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for ExploreMode {
-    type Err = String;
-
-    /// Parses the user-facing mode grammar (case-insensitive) — the single
-    /// definition the CLI flag and the scenario schema both use.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "exhaustive" => Ok(ExploreMode::Exhaustive),
-            "refine" | "refined" => Ok(ExploreMode::Refine),
-            other => Err(format!(
-                "unknown explore mode {other:?} (exhaustive|refine)"
-            )),
-        }
-    }
-}
 
 /// Coarse-sampling strides for the two refined axes. A stride of `0`
 /// picks an automatic value for that axis (a power of two near half the
@@ -164,7 +127,8 @@ pub struct RefineOptions {
 /// callback per phase that stored new cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefinePhase {
-    /// The stride-sampled rectangular subgrid at full breadth.
+    /// The stride-sampled rectangular subgrid at full breadth (the whole
+    /// grid when neither axis is long enough to sample).
     Coarse,
     /// Midpoints of disagreeing gaps, both axes, at candidate breadth.
     Bisect,
@@ -186,7 +150,7 @@ impl RefinePhase {
     }
 }
 
-/// A phase callback for [`explore_portfolio_refined_observed`]: receives
+/// A phase callback ([`crate::explore::ExploreMode::Refine`]'s observer): receives
 /// the phase, the partial result so far (every cell evaluated to date,
 /// pruned cells derived on read), and the master-grid indices the phase
 /// newly stored, sorted ascending. Returning `false` aborts the run —
@@ -236,11 +200,12 @@ struct Refiner<'a> {
     /// Pricing coverage per evaluated (area index, quantity index) point.
     coverage: BTreeMap<(usize, usize), Coverage>,
     core_evaluations: usize,
-    /// Every sub-run reuses cores through this cache under the given
-    /// library tag — the caller's cross-request cache when provided, a
-    /// run-private one otherwise (cores are quantity-independent, so
-    /// stripe-wise sub-runs re-request the same cores constantly).
-    shared: (&'a SharedCoreCache, [u8; 32]),
+    /// The core policy every sub-run evaluates under: the caller's
+    /// cross-request cache or the run-private one standing in for
+    /// [`CorePolicy::Cached`] (cores are quantity-independent, so
+    /// stripe-wise sub-runs re-request the same cores constantly), or the
+    /// uncached reference path.
+    cores: CorePolicy<'a>,
     /// Master indices newly stored since the last observer flush (only
     /// tracked when an observer is installed).
     track_dirty: bool,
@@ -252,7 +217,7 @@ impl<'a> Refiner<'a> {
         lib: &'a TechLibrary,
         space: &'a PortfolioSpace,
         threads: usize,
-        shared: (&'a SharedCoreCache, [u8; 32]),
+        cores: CorePolicy<'a>,
         track_dirty: bool,
     ) -> Self {
         let variants = space.scheme_variants();
@@ -275,7 +240,7 @@ impl<'a> Refiner<'a> {
             master: BTreeMap::new(),
             coverage: BTreeMap::new(),
             core_evaluations: 0,
-            shared,
+            cores,
             track_dirty,
             dirty: Vec::new(),
         }
@@ -329,8 +294,7 @@ impl<'a> Refiner<'a> {
             ocme_center_nodes: self.space.ocme_center_nodes.clone(),
             package_reuse: self.space.package_reuse,
         };
-        let (cache, tag) = self.shared;
-        let result = explore_portfolio_shared(self.lib, &sub, self.threads, cache, tag)?;
+        let result = exhaustive(self.lib, &sub, self.threads, self.cores)?;
         self.core_evaluations += result.core_evaluations();
         let sub_shape = result.shape();
         for (sub_i, outcome) in result.stored_entries() {
@@ -731,76 +695,25 @@ fn auto_stride(len: usize) -> usize {
     stride
 }
 
-/// [`explore_portfolio_refined`] with explicit per-axis starting strides.
-/// Exposed so the benches and the reference tests can force coarse starts
-/// on small grids (and so `--quantity-stride` / scenario `quantity_stride`
-/// reach the engine).
+/// Explores a space [`crate::explore::explore`] has already validated
+/// coarse-to-fine from the given per-axis starting strides, returning the
+/// same sparse result type as the exhaustive walk with skipped cells
+/// recorded as [`CellOutcome::Pruned`].
 ///
 /// # Errors
 ///
-/// Everything [`crate::portfolio::explore_portfolio`] raises, plus
 /// [`ArchError::InvalidArchitecture`] when the area or quantity axis is
 /// not strictly increasing (refinement bisects gaps along both, so the
-/// axes must be ordered).
-pub fn explore_portfolio_refined_with(
+/// axes must be ordered) or the observer declines to continue, plus
+/// whatever the exhaustive sub-runs raise.
+pub(crate) fn refine(
     lib: &TechLibrary,
     space: &PortfolioSpace,
     threads: usize,
+    cores: CorePolicy<'_>,
     options: RefineOptions,
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_refined_observed(lib, space, threads, options, None, None)
-}
-
-/// [`explore_portfolio_refined`] with cores reused *across calls* through
-/// `cache` under the given library `tag` — the refinement twin of
-/// [`explore_portfolio_shared`]. Every coarse, bisection, fill and
-/// escalation sub-run consults the cache, so overlapping requests skip
-/// straight to amortization.
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`].
-pub fn explore_portfolio_refined_shared(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-    cache: &SharedCoreCache,
-    tag: [u8; 32],
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_refined_observed(
-        lib,
-        space,
-        threads,
-        RefineOptions::default(),
-        Some((cache, tag)),
-        None,
-    )
-}
-
-/// The full-control refinement entry: explicit strides, an optional
-/// cross-call core cache, and an optional per-phase [`RefineObserver`]
-/// (the streaming hook). All other refinement entries are facades over
-/// this one.
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`]; additionally fails when the
-/// observer returns `false` (the run is abandoned mid-phase).
-pub fn explore_portfolio_refined_observed(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-    options: RefineOptions,
-    shared: Option<(&SharedCoreCache, [u8; 32])>,
     mut observer: Option<&mut RefineObserver<'_>>,
 ) -> Result<PortfolioResult, ArchError> {
-    space.validate()?;
-    for id in &space.nodes {
-        lib.node(id).map_err(ArchError::Tech)?;
-    }
-    for center in space.ocme_center_nodes.iter().flatten() {
-        lib.node(center).map_err(ArchError::Tech)?;
-    }
     if !space.areas_mm2.windows(2).all(|w| w[0] < w[1]) {
         return Err(ArchError::InvalidArchitecture {
             reason: "coarse-to-fine refinement requires a strictly increasing areas_mm2 axis"
@@ -830,10 +743,7 @@ pub fn explore_portfolio_refined_observed(
     if astride <= 1 && qstride <= 1 {
         // Nothing to skip on either axis: the coarse pass would already be
         // exhaustive.
-        let result = match shared {
-            Some((cache, tag)) => explore_portfolio_shared(lib, space, threads, cache, tag)?,
-            None => explore_portfolio(lib, space, threads)?,
-        };
+        let result = exhaustive(lib, space, threads, cores)?;
         if let Some(obs) = observer.as_mut() {
             let all: Vec<usize> = result.stored_entries().iter().map(|(i, _)| *i).collect();
             if !obs(RefinePhase::Coarse, &result, &all) {
@@ -843,19 +753,23 @@ pub fn explore_portfolio_refined_observed(
         return Ok(result);
     }
 
-    // The run-private core cache (used when the caller brought none):
-    // cores are quantity-independent, so the row- and column-wise
-    // sub-runs below re-request the same cores constantly; dedup'ing them
-    // here is what keeps the quantity axis nearly free of core work.
+    // The run-private core cache (standing in for the caller's cached
+    // policy): cores are quantity-independent, so the row- and
+    // column-wise sub-runs below re-request the same cores constantly;
+    // dedup'ing them here is what keeps the quantity axis nearly free of
+    // core work.
     let private_cache;
-    let shared = match shared {
-        Some(s) => s,
-        None => {
+    let cores = match cores {
+        CorePolicy::Cached => {
             private_cache = SharedCoreCache::new(usize::MAX);
-            (&private_cache, [0u8; 32])
+            CorePolicy::Shared {
+                cache: &private_cache,
+                tag: [0u8; 32],
+            }
         }
+        other => other,
     };
-    let mut refiner = Refiner::new(lib, space, threads, shared, observer.is_some());
+    let mut refiner = Refiner::new(lib, space, threads, cores, observer.is_some());
 
     // 1. Coarse pass: the stride-sampled rectangle plus both axis
     //    endpoints, every configuration. Each pass below closes a span
@@ -1165,66 +1079,45 @@ fn notify(
     Ok(())
 }
 
-/// Explores `space` coarse-to-fine with automatically chosen starting
-/// strides on both axes: the portfolio twin of
-/// [`crate::portfolio::explore_portfolio`], returning the same sparse
-/// result type with skipped cells recorded as [`CellOutcome::Pruned`].
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`].
-pub fn explore_portfolio_refined(
-    lib: &TechLibrary,
-    space: &PortfolioSpace,
-    threads: usize,
-) -> Result<PortfolioResult, ArchError> {
-    explore_portfolio_refined_with(lib, space, threads, RefineOptions::default())
-}
-
-/// Explores a single-system space coarse-to-fine: the refinement twin of
-/// [`crate::explore::explore`].
-///
-/// # Errors
-///
-/// See [`explore_portfolio_refined_with`] (the single-system axes are
-/// validated with this module's messages first).
-pub fn explore_refined(
-    lib: &TechLibrary,
-    space: &ExploreSpace,
-    threads: usize,
-) -> Result<ExploreResult, ArchError> {
-    explore_refined_with(lib, space, threads, RefineOptions::default())
-}
-
-/// [`explore_refined`] with explicit per-axis strides (the single-system
-/// home of `--quantity-stride`).
-///
-/// # Errors
-///
-/// See [`explore_refined`].
-pub fn explore_refined_with(
-    lib: &TechLibrary,
-    space: &ExploreSpace,
-    threads: usize,
-    options: RefineOptions,
-) -> Result<ExploreResult, ArchError> {
-    space.validate()?;
-    for id in &space.nodes {
-        lib.node(id).map_err(ArchError::Tech)?;
-    }
-    let lifted = PortfolioSpace::from_single_system(space);
-    let inner = explore_portfolio_refined_with(lib, &lifted, threads, options)?;
-    Ok(ExploreResult::from_inner(space, inner))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, ExploreMode, ExploreRequest};
     use crate::portfolio::ReuseScheme;
     use actuary_model::AssemblyFlow;
 
     fn lib() -> TechLibrary {
         TechLibrary::paper_defaults().unwrap()
+    }
+
+    fn exhaustive_on(
+        lib: &TechLibrary,
+        space: &PortfolioSpace,
+        threads: usize,
+    ) -> Result<PortfolioResult, ArchError> {
+        let request = ExploreRequest {
+            threads,
+            ..ExploreRequest::default()
+        };
+        explore(lib, space, request)
+    }
+
+    /// A refine-mode request with everything but the strides defaulted.
+    fn refine_request<'r>(threads: usize, options: RefineOptions) -> ExploreRequest<'r> {
+        ExploreRequest {
+            mode: ExploreMode::refine(options),
+            threads,
+            ..ExploreRequest::default()
+        }
+    }
+
+    fn refined(
+        lib: &TechLibrary,
+        space: &PortfolioSpace,
+        threads: usize,
+        options: RefineOptions,
+    ) -> Result<PortfolioResult, ArchError> {
+        explore(lib, space, refine_request(threads, options))
     }
 
     fn strides(area_stride: usize, quantity_stride: usize) -> RefineOptions {
@@ -1266,12 +1159,25 @@ mod tests {
 
     #[test]
     fn mode_labels_round_trip() {
-        assert_eq!("refine".parse::<ExploreMode>(), Ok(ExploreMode::Refine));
-        assert_eq!(
+        assert!(matches!(
+            "refine".parse::<ExploreMode>(),
+            Ok(ExploreMode::Refine {
+                strides: RefineOptions {
+                    area_stride: 0,
+                    quantity_stride: 0
+                },
+                observer: None
+            })
+        ));
+        assert!(matches!(
             "Exhaustive".parse::<ExploreMode>(),
             Ok(ExploreMode::Exhaustive)
+        ));
+        assert_eq!(
+            ExploreMode::refine(strides(4, 8)).to_string(),
+            "refine",
+            "strides are settings, not part of the label"
         );
-        assert_eq!(ExploreMode::Refine.to_string(), "refine");
         assert!("adaptive".parse::<ExploreMode>().is_err());
     }
 
@@ -1290,7 +1196,7 @@ mod tests {
             areas_mm2: vec![400.0, 200.0],
             ..ramp_space()
         };
-        let err = explore_portfolio_refined(&lib(), &space, 1).unwrap_err();
+        let err = refined(&lib(), &space, 1, RefineOptions::default()).unwrap_err();
         assert!(
             err.to_string().contains("strictly increasing areas_mm2"),
             "unexpected error: {err}"
@@ -1303,7 +1209,7 @@ mod tests {
             quantities: vec![10_000_000, 500_000],
             ..ramp_space()
         };
-        let err = explore_portfolio_refined(&lib(), &space, 1).unwrap_err();
+        let err = refined(&lib(), &space, 1, RefineOptions::default()).unwrap_err();
         assert!(
             err.to_string().contains("strictly increasing quantities"),
             "unexpected error: {err}"
@@ -1314,10 +1220,9 @@ mod tests {
     fn refined_winners_and_fronts_match_exhaustion_across_strides_and_threads() {
         let lib = lib();
         let space = ramp_space();
-        let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
+        let exhaustive = exhaustive_on(&lib, &space, 1).unwrap();
         for (stride, threads) in [(2, 1), (4, 1), (4, 4), (8, 4)] {
-            let refined =
-                explore_portfolio_refined_with(&lib, &space, threads, strides(stride, 0)).unwrap();
+            let refined = refined(&lib, &space, threads, strides(stride, 0)).unwrap();
             assert_eq!(refined.len(), exhaustive.len());
             assert_eq!(
                 refined.winners_artifact().csv(),
@@ -1350,10 +1255,9 @@ mod tests {
     fn two_axis_refinement_matches_exhaustion() {
         let lib = lib();
         let space = quantity_ramp_space();
-        let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
+        let exhaustive = exhaustive_on(&lib, &space, 1).unwrap();
         for (astride, qstride) in [(4, 4), (2, 4), (4, 3), (1, 4)] {
-            let refined =
-                explore_portfolio_refined_with(&lib, &space, 2, strides(astride, qstride)).unwrap();
+            let refined = refined(&lib, &space, 2, strides(astride, qstride)).unwrap();
             assert_eq!(
                 refined.winners_artifact().csv(),
                 exhaustive.winners_artifact().csv(),
@@ -1388,8 +1292,8 @@ mod tests {
     fn refinement_is_thread_count_independent() {
         let lib = lib();
         let space = quantity_ramp_space();
-        let serial = explore_portfolio_refined_with(&lib, &space, 1, strides(4, 4)).unwrap();
-        let parallel = explore_portfolio_refined_with(&lib, &space, 4, strides(4, 4)).unwrap();
+        let serial = refined(&lib, &space, 1, strides(4, 4)).unwrap();
+        let parallel = refined(&lib, &space, 4, strides(4, 4)).unwrap();
         // The refinement decisions (and therefore the evaluated set, the
         // grid CSV and the pruned accounting) must not depend on threads.
         assert_eq!(serial.grid_artifact().csv(), parallel.grid_artifact().csv());
@@ -1404,8 +1308,8 @@ mod tests {
             areas_mm2: vec![200.0, 800.0],
             ..ramp_space()
         };
-        let refined = explore_portfolio_refined(&lib, &space, 1).unwrap();
-        let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
+        let refined = refined(&lib, &space, 1, RefineOptions::default()).unwrap();
+        let exhaustive = exhaustive_on(&lib, &space, 1).unwrap();
         assert_eq!(
             refined.grid_artifact().csv(),
             exhaustive.grid_artifact().csv()
@@ -1432,15 +1336,15 @@ mod tests {
             assert!(streamed.len() <= partial.len());
             true
         };
-        let result = explore_portfolio_refined_observed(
-            &lib,
-            &space,
-            2,
-            strides(4, 4),
-            None,
-            Some(&mut observer),
-        )
-        .unwrap();
+        let request = ExploreRequest {
+            mode: ExploreMode::Refine {
+                strides: strides(4, 4),
+                observer: Some(&mut observer),
+            },
+            threads: 2,
+            ..ExploreRequest::default()
+        };
+        let result = explore(&lib, &space, request).unwrap();
         assert_eq!(
             phases,
             vec![
@@ -1462,34 +1366,63 @@ mod tests {
         let lib = lib();
         let space = quantity_ramp_space();
         let mut observer = |_: RefinePhase, _: &PortfolioResult, _: &[usize]| false;
-        let err = explore_portfolio_refined_observed(
-            &lib,
-            &space,
-            1,
-            strides(4, 4),
-            None,
-            Some(&mut observer),
-        )
-        .unwrap_err();
+        // Both the staged walk and the tiny-axis single pass honor it.
+        for space in [
+            space,
+            PortfolioSpace {
+                areas_mm2: vec![200.0, 800.0],
+                quantities: vec![500_000, 10_000_000],
+                ..ramp_space()
+            },
+        ] {
+            let request = ExploreRequest {
+                mode: ExploreMode::Refine {
+                    strides: strides(4, 4),
+                    observer: Some(&mut observer),
+                },
+                threads: 1,
+                ..ExploreRequest::default()
+            };
+            let err = explore(&lib, &space, request).unwrap_err();
+            assert!(
+                err.to_string().contains("aborted"),
+                "unexpected error: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn uncached_refinement_is_byte_identical_to_cached() {
+        let lib = lib();
+        let space = quantity_ramp_space();
+        let cached = refined(&lib, &space, 2, strides(4, 4)).unwrap();
+        let request = ExploreRequest {
+            cores: CorePolicy::Uncached,
+            ..refine_request(2, strides(4, 4))
+        };
+        let uncached = explore(&lib, &space, request).unwrap();
+        assert_eq!(cached.grid_artifact().csv(), uncached.grid_artifact().csv());
+        assert_eq!(cached.pruned_count(), uncached.pruned_count());
         assert!(
-            err.to_string().contains("aborted"),
-            "unexpected error: {err}"
+            uncached.core_evaluations() > cached.core_evaluations(),
+            "the reference path re-evaluates what the cache shares"
         );
     }
 
     #[test]
     fn single_system_refinement_matches_explore() {
         let lib = lib();
-        let space = ExploreSpace {
+        let space = PortfolioSpace {
             nodes: vec!["14nm".to_string(), "5nm".to_string()],
             areas_mm2: (1..=12).map(|i| f64::from(i) * 80.0).collect(),
             quantities: vec![500_000, 10_000_000],
             integrations: IntegrationKind::ALL.to_vec(),
             chiplet_counts: vec![1, 2, 3, 4, 5],
-            flow: AssemblyFlow::ChipLast,
+            ..PortfolioSpace::single_system()
         };
-        let exhaustive = crate::explore::explore(&lib, &space, 2).unwrap();
-        let refined = explore_refined(&lib, &space, 2).unwrap();
+        let exhaustive = exhaustive_on(&lib, &space, 2).unwrap();
+        let refined = refined(&lib, &space, 2, RefineOptions::default()).unwrap();
+        assert!(refined.pruned_count() > 0);
         assert_eq!(
             refined.winners_artifact().csv(),
             exhaustive.winners_artifact().csv()
@@ -1508,10 +1441,17 @@ mod tests {
     fn refined_shared_matches_refined_and_reuses_warm_cores() {
         let lib = lib();
         let space = ramp_space();
-        let reference = explore_portfolio_refined(&lib, &space, 2).unwrap();
+        let reference = refined(&lib, &space, 2, RefineOptions::default()).unwrap();
 
         let cache = SharedCoreCache::new(4096);
-        let cold = explore_portfolio_refined_shared(&lib, &space, 2, &cache, [9; 32]).unwrap();
+        let shared = || ExploreRequest {
+            cores: CorePolicy::Shared {
+                cache: &cache,
+                tag: [9; 32],
+            },
+            ..refine_request(2, RefineOptions::default())
+        };
+        let cold = explore(&lib, &space, shared()).unwrap();
         assert_eq!(
             cold.winners_artifact().csv(),
             reference.winners_artifact().csv()
@@ -1528,7 +1468,7 @@ mod tests {
 
         // Warm rerun: refinement takes the same adaptive path, and every
         // core it asks for is already resident.
-        let warm = explore_portfolio_refined_shared(&lib, &space, 2, &cache, [9; 32]).unwrap();
+        let warm = explore(&lib, &space, shared()).unwrap();
         assert_eq!(
             warm.winners_artifact().csv(),
             reference.winners_artifact().csv()

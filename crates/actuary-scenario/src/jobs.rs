@@ -9,14 +9,12 @@ use std::fmt;
 
 use actuary_arch::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
 use actuary_arch::{ArchError, Chip, Module, Portfolio, System};
+use actuary_dse::explore::{explore, ExploreMode, ExploreRequest};
 use actuary_dse::optimizer::candidate_core;
 use actuary_dse::portfolio::{
-    explore_portfolio, explore_portfolio_shared, parse_fsmc_situation, PortfolioResult,
-    PortfolioSpace, ReuseScheme, SharedCoreCache,
+    parse_fsmc_situation, CorePolicy, PortfolioResult, PortfolioSpace, ReuseScheme, SharedCoreCache,
 };
-use actuary_dse::refine::{
-    explore_portfolio_refined_observed, ExploreMode, RefineObserver, RefineOptions,
-};
+use actuary_dse::refine::RefineObserver;
 use actuary_dse::sweep::{sweep_area, sweep_quantity, Sweep};
 use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
@@ -53,7 +51,7 @@ pub enum Job {
     /// integration kind (Figure 4's workload).
     Sweep(SweepJob),
     /// Run a multi-axis grid exploration.
-    Explore(ExploreJob),
+    Explore(Box<ExploreJob>),
 }
 
 impl Job {
@@ -173,12 +171,10 @@ pub struct ExploreJob {
     /// The exploration space.
     pub space: PortfolioSpace,
     /// How the grid is walked: exhaustively (the default) or coarse-to-fine
-    /// (the `mode = "refine"` key).
-    pub mode: ExploreMode,
-    /// Coarse sampling stride along the quantity axis for `mode =
-    /// "refine"` (the `quantity_stride` key); `0` lets the engine pick
-    /// from the axis length.
-    pub quantity_stride: usize,
+    /// (the `mode = "refine"` key), whose quantity-axis stride the
+    /// `quantity_stride` key sets (absent: the engine picks from the axis
+    /// length).
+    pub mode: ExploreMode<'static>,
     /// Which surfaces the job emits, in file order (default: the grid).
     pub outputs: Vec<ExploreOutput>,
 }
@@ -454,7 +450,7 @@ impl Scenario {
         for table in root.opt_tables("explore")? {
             let job = lower_explore_job(table, &library)?;
             check_unique(&mut names, &job.name, table.pos)?;
-            jobs.push(Job::Explore(job));
+            jobs.push(Job::Explore(Box::new(job)));
         }
         root.deny_unknown()?;
         if jobs.is_empty() {
@@ -485,7 +481,7 @@ impl Scenario {
     ///
     /// Returns [`ScenarioError::Engine`] naming the failing job.
     pub fn run(&self, threads: usize) -> Result<ScenarioRun, ScenarioError> {
-        self.run_impl(threads, None)
+        self.run_impl(threads, CorePolicy::Cached)
     }
 
     /// [`Scenario::run`] with explore-job cores reused *across runs*
@@ -503,13 +499,13 @@ impl Scenario {
         cache: &SharedCoreCache,
         tag: [u8; 32],
     ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_impl(threads, Some((cache, tag)))
+        self.run_impl(threads, CorePolicy::Shared { cache, tag })
     }
 
     fn run_impl(
         &self,
         threads: usize,
-        shared: Option<(&SharedCoreCache, [u8; 32])>,
+        cores: CorePolicy<'_>,
     ) -> Result<ScenarioRun, ScenarioError> {
         let mut run = ScenarioRun {
             name: self.name.clone(),
@@ -560,7 +556,7 @@ impl Scenario {
                     });
                 }
                 Job::Explore(j) => {
-                    let result = run_explore_job(&self.library, threads, shared, j, None)
+                    let result = run_explore_job(&self.library, threads, cores, j, None)
                         .map_err(|e| engine(&j.name, &e))?;
                     run.explores.push(ExploreRun {
                         name: j.name.clone(),
@@ -600,7 +596,7 @@ impl Scenario {
         threads: usize,
         sink: &mut dyn StreamSink,
     ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_streamed_impl(threads, None, sink)
+        self.run_streamed_impl(threads, CorePolicy::Cached, sink)
     }
 
     /// [`Scenario::run_streamed`] with explore-job cores reused across
@@ -617,13 +613,13 @@ impl Scenario {
         tag: [u8; 32],
         sink: &mut dyn StreamSink,
     ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_streamed_impl(threads, Some((cache, tag)), sink)
+        self.run_streamed_impl(threads, CorePolicy::Shared { cache, tag }, sink)
     }
 
     fn run_streamed_impl(
         &self,
         threads: usize,
-        shared: Option<(&SharedCoreCache, [u8; 32])>,
+        cores: CorePolicy<'_>,
         sink: &mut dyn StreamSink,
     ) -> Result<ScenarioRun, ScenarioError> {
         let engine = |job: &str, e: &dyn fmt::Display| ScenarioError::Engine {
@@ -694,8 +690,8 @@ impl Scenario {
             let Job::Explore(j) = job else {
                 continue;
             };
-            let streams_grid =
-                j.mode == ExploreMode::Refine && j.outputs.contains(&ExploreOutput::Grid);
+            let streams_grid = matches!(j.mode, ExploreMode::Refine { .. })
+                && j.outputs.contains(&ExploreOutput::Grid);
             let result = if streams_grid {
                 let grid_name = format!("{}-grid", j.name);
                 let mut first = true;
@@ -708,8 +704,7 @@ impl Scenario {
                     first = false;
                     delivered
                 };
-                let result =
-                    run_explore_job(&self.library, threads, shared, j, Some(&mut observer));
+                let result = run_explore_job(&self.library, threads, cores, j, Some(&mut observer));
                 if !delivered {
                     return Err(abort(&j.name));
                 }
@@ -721,7 +716,7 @@ impl Scenario {
                 }
                 result
             } else {
-                run_explore_job(&self.library, threads, shared, j, None)
+                run_explore_job(&self.library, threads, cores, j, None)
                     .map_err(|e| engine(&j.name, &e))?
             };
             for output in &j.outputs {
@@ -756,34 +751,32 @@ impl Scenario {
     }
 }
 
-/// Runs one explore job through the engine the job's mode selects,
-/// threading the optional shared core cache and (for refine mode) the
-/// optional phase observer — the single dispatch [`Scenario::run`] and
-/// [`Scenario::run_streamed`] both go through.
-fn run_explore_job(
+/// Runs one explore job through the exploration entry point, threading
+/// the core policy and — for refine mode — the optional phase observer:
+/// the single dispatch [`Scenario::run`] and [`Scenario::run_streamed`]
+/// both go through.
+fn run_explore_job<'r>(
     library: &TechLibrary,
     threads: usize,
-    shared: Option<(&SharedCoreCache, [u8; 32])>,
+    cores: CorePolicy<'r>,
     j: &ExploreJob,
-    observer: Option<&mut RefineObserver<'_>>,
+    observer: Option<&'r mut RefineObserver<'r>>,
 ) -> Result<PortfolioResult, ArchError> {
     let mut span = actuary_obs::span!("scenario.explore");
     span.record("cells", j.space.len() as u64);
-    match j.mode {
-        ExploreMode::Exhaustive => match shared {
-            None => explore_portfolio(library, &j.space, threads),
-            Some((cache, tag)) => explore_portfolio_shared(library, &j.space, threads, cache, tag),
+    let mode = match &j.mode {
+        ExploreMode::Exhaustive => ExploreMode::Exhaustive,
+        ExploreMode::Refine { strides, .. } => ExploreMode::Refine {
+            strides: *strides,
+            observer,
         },
-        ExploreMode::Refine => {
-            let options = RefineOptions {
-                area_stride: 0,
-                quantity_stride: j.quantity_stride,
-            };
-            explore_portfolio_refined_observed(
-                library, &j.space, threads, options, shared, observer,
-            )
-        }
-    }
+    };
+    let request = ExploreRequest {
+        mode,
+        threads,
+        cores,
+    };
+    explore(library, &j.space, request)
 }
 
 /// The incremental consumer [`Scenario::run_streamed`] delivers to: one
@@ -1338,11 +1331,7 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
         Some(s) => check_file_name(s, "job name")?,
         None => "explore".to_string(),
     };
-    let mut space = PortfolioSpace {
-        flows: vec![AssemblyFlow::ChipLast],
-        schemes: vec![ReuseScheme::None],
-        ..PortfolioSpace::default()
-    };
+    let mut space = PortfolioSpace::single_system();
     if let Some(nodes) = view.opt_array("nodes", |v, p| {
         let s = elem_str(v, p, "a node id")?;
         check_node(lib, s)?;
@@ -1414,7 +1403,31 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
     if let Some(b) = view.opt_bool("package_reuse")? {
         space.package_reuse = b.value;
     }
-    let mode = match view.opt_str("mode")? {
+    // Scheme-parameter keys only act through their scheme; accepting one
+    // on a grid that never builds that scheme would silently drop the axis
+    // (the CLI rejects the same flag combinations).
+    for (key, schemes, hint) in [
+        ("fsmc_situations", &[ReuseScheme::Fsmc][..], "\"fsmc\""),
+        ("ocme_center_nodes", &[ReuseScheme::Ocme], "\"ocme\""),
+        (
+            "package_reuse",
+            &[ReuseScheme::Scms, ReuseScheme::Ocme],
+            "\"scms\" or \"ocme\"",
+        ),
+    ] {
+        if let Some(entry) = table.get(key) {
+            if !schemes.iter().any(|s| space.schemes.contains(s)) {
+                return Err(ScenarioError::schema(
+                    entry.key_pos,
+                    format!(
+                        "`{key}` parameterizes a reuse scheme this grid never builds; add \
+                         {hint} to `schemes`"
+                    ),
+                ));
+            }
+        }
+    }
+    let mut mode = match view.opt_str("mode")? {
         None => ExploreMode::Exhaustive,
         Some(s) => s
             .value
@@ -1423,27 +1436,24 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             .parse::<ExploreMode>()
             .map_err(|message| ScenarioError::schema(s.pos, message))?,
     };
-    let quantity_stride = match view.opt_u64("quantity_stride")? {
-        None => 0,
-        Some(s) => {
-            if mode != ExploreMode::Refine {
-                return Err(ScenarioError::schema(
-                    s.pos,
-                    "`quantity_stride` requires `mode = \"refine\"` (exhaustive walks visit \
-                     every quantity anyway)",
-                ));
-            }
-            if s.value == 0 {
-                return Err(ScenarioError::schema(
-                    s.pos,
-                    "`quantity_stride` must be at least 1 (omit it to let the engine pick)",
-                ));
-            }
-            usize::try_from(s.value).map_err(|_| {
-                ScenarioError::schema(s.pos, "`quantity_stride` exceeds the platform word size")
-            })?
+    if let Some(s) = view.opt_u64("quantity_stride")? {
+        let ExploreMode::Refine { strides, .. } = &mut mode else {
+            return Err(ScenarioError::schema(
+                s.pos,
+                "`quantity_stride` requires `mode = \"refine\"` (exhaustive walks visit \
+                 every quantity anyway)",
+            ));
+        };
+        if s.value == 0 {
+            return Err(ScenarioError::schema(
+                s.pos,
+                "`quantity_stride` must be at least 1 (omit it to let the engine pick)",
+            ));
         }
-    };
+        strides.quantity_stride = usize::try_from(s.value).map_err(|_| {
+            ScenarioError::schema(s.pos, "`quantity_stride` exceeds the platform word size")
+        })?;
+    }
     let outputs = match view.opt_array("outputs", |v, p| {
         let s = elem_str(v, p, "an output")?;
         // The grammar is owned by this crate's FromStr, shared with docs.
@@ -1478,7 +1488,6 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
         name,
         space,
         mode,
-        quantity_stride,
         outputs,
     })
 }

@@ -495,6 +495,35 @@ mod tests {
     }
 
     #[test]
+    fn scheme_parameter_keys_without_their_scheme_are_rejected_at_the_key() {
+        // (key line, schemes that build it) — the key is line 4, column 1
+        // of every case, after `name`, `[explore]` and `schemes`.
+        let cases = [
+            ("fsmc_situations = [\"2x2\"]", "\"fsmc\""),
+            ("ocme_center_nodes = [\"14nm\"]", "\"ocme\""),
+            ("package_reuse = true", "\"scms\""),
+        ];
+        for (key_line, scheme) in cases {
+            let key = key_line.split(' ').next().unwrap();
+            let without = minimal(&format!(
+                "[explore]\nschemes = [\"none\"]\n{key_line}\nnodes = [\"7nm\"]\n"
+            ));
+            let err = Scenario::from_toml(&without).expect_err(key);
+            let message = err.to_string();
+            assert!(message.starts_with("line 4, column 1"), "{key}: {message}");
+            assert!(
+                message.contains(&format!("`{key}`")) && message.contains(scheme),
+                "{key}: {message}"
+            );
+            // The same key on a grid that builds its scheme lowers fine.
+            let with = minimal(&format!(
+                "[explore]\nschemes = [\"none\", {scheme}]\n{key_line}\nnodes = [\"7nm\"]\n"
+            ));
+            Scenario::from_toml(&with).unwrap_or_else(|e| panic!("{key}: {e}"));
+        }
+    }
+
+    #[test]
     fn scenario_without_jobs_is_rejected() {
         let err = Scenario::from_toml("name = \"t\"\n").unwrap_err();
         assert!(err.to_string().contains("defines no jobs"), "{err}");

@@ -117,6 +117,58 @@ impl<'a> Artifact<'a> {
         self
     }
 
+    /// The same artifact without the named columns: the header and every
+    /// row drop them, every other cell streams through unchanged. Names
+    /// the artifact does not carry are ignored, so one projection list
+    /// fits every table of a family.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use actuary_units::Artifact;
+    ///
+    /// let a = Artifact::new("demo", "grid", &["x", "flow", "y"], |emit| {
+    ///     emit(&["1".to_string(), "chip-last".to_string(), "2".to_string()])
+    /// });
+    /// assert_eq!(a.without_columns(&["flow", "scheme"]).csv(), "x,y\n1,2\n");
+    /// ```
+    #[must_use]
+    pub fn without_columns(self, dropped: &[&str]) -> Artifact<'a> {
+        let keep: Vec<bool> = self
+            .columns
+            .iter()
+            .map(|c| !dropped.contains(&c.as_str()))
+            .collect();
+        if keep.iter().all(|&k| k) {
+            return self;
+        }
+        let columns = self
+            .columns
+            .into_iter()
+            .zip(&keep)
+            .filter_map(|(c, &k)| k.then_some(c))
+            .collect();
+        let rows = self.rows;
+        Artifact {
+            name: self.name,
+            kind: self.kind,
+            columns,
+            rows: Box::new(move |emit: &mut RowEmit<'_>| {
+                let mut projected: Vec<String> = Vec::with_capacity(keep.len());
+                rows(&mut |row: &[String]| {
+                    projected.clear();
+                    projected.extend(
+                        row.iter()
+                            .zip(&keep)
+                            .filter(|(_, &k)| k)
+                            .map(|(cell, _)| cell.clone()),
+                    );
+                    emit(&projected)
+                })
+            }),
+        }
+    }
+
     /// Streams the artifact as RFC-4180 CSV into `out` — header row, then
     /// every data row — without materializing the document. This is the
     /// one serializer every emitter in the workspace goes through.

@@ -3,18 +3,19 @@
 //!
 //! On a multi-core machine the `threads=N` row should run close to N×
 //! faster than `threads=1` (the per-cell work is independent and the
-//! engine's only shared state is one atomic work index); on a single-core
+//! engine's workers only touch each other's range deques to steal); on a single-core
 //! container the two rows time alike, which is itself the correctness
 //! signal that the threading adds no overhead.
 
-use actuary_dse::explore::{explore, ExploreSpace};
+use actuary_dse::explore::{explore, ExploreRequest};
+use actuary_dse::portfolio::PortfolioSpace;
 use bench::library;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench_explore(c: &mut Criterion) {
     let lib = library();
-    let space = ExploreSpace::default();
+    let space = PortfolioSpace::single_system();
     let hardware = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -22,7 +23,11 @@ fn bench_explore(c: &mut Criterion) {
     // so the scheduling overhead (which should be negligible) is visible.
     let workers = hardware.max(2);
 
-    let probe = explore(&lib, &space, workers).expect("the default grid must evaluate");
+    let on = |threads| ExploreRequest {
+        threads,
+        ..ExploreRequest::default()
+    };
+    let probe = explore(&lib, &space, on(workers)).expect("the default grid must evaluate");
     println!(
         "==================================================================\n\
          multi-axis exploration: {} grid cells, {} hardware thread(s)\n\
@@ -35,10 +40,10 @@ fn bench_explore(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore_default_grid");
     group.sample_size(10);
     group.bench_function("threads=1", |b| {
-        b.iter(|| explore(black_box(&lib), black_box(&space), 1).unwrap())
+        b.iter(|| explore(black_box(&lib), black_box(&space), on(1)).unwrap())
     });
     group.bench_function(&format!("threads={workers}"), |b| {
-        b.iter(|| explore(black_box(&lib), black_box(&space), workers).unwrap())
+        b.iter(|| explore(black_box(&lib), black_box(&space), on(workers)).unwrap())
     });
     group.finish();
 }

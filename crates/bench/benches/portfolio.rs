@@ -9,9 +9,8 @@
 //! of the two paths is asserted in `tests/integration_portfolio.rs`, which
 //! tier-1 runs — the bench only times them.)
 
-use actuary_dse::portfolio::{
-    explore_portfolio, explore_portfolio_with, CorePolicy, PortfolioSpace,
-};
+use actuary_dse::explore::{explore, ExploreRequest};
+use actuary_dse::portfolio::{CorePolicy, PortfolioSpace};
 use bench::library;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -24,7 +23,13 @@ fn bench_portfolio(c: &mut Criterion) {
         .unwrap_or(1);
     let workers = hardware.max(2);
 
-    let probe = explore_portfolio(&lib, &space, workers).expect("the default grid must evaluate");
+    let on = |threads, cores| ExploreRequest {
+        threads,
+        cores,
+        ..ExploreRequest::default()
+    };
+    let cached = |threads| on(threads, CorePolicy::Cached);
+    let probe = explore(&lib, &space, cached(workers)).expect("the default grid must evaluate");
     // The uncached path evaluates every non-incompatible cell, so its
     // evaluation count is known without running the sweep.
     let uncached_evaluations = probe.len() - probe.incompatible_count();
@@ -44,15 +49,19 @@ fn bench_portfolio(c: &mut Criterion) {
     let mut group = c.benchmark_group("portfolio_default_grid");
     group.sample_size(10);
     group.bench_function("threads=1", |b| {
-        b.iter(|| explore_portfolio(black_box(&lib), black_box(&space), 1).unwrap())
+        b.iter(|| explore(black_box(&lib), black_box(&space), cached(1)).unwrap())
     });
     group.bench_function(&format!("threads={workers}"), |b| {
-        b.iter(|| explore_portfolio(black_box(&lib), black_box(&space), workers).unwrap())
+        b.iter(|| explore(black_box(&lib), black_box(&space), cached(workers)).unwrap())
     });
     group.bench_function("threads=1,uncached", |b| {
         b.iter(|| {
-            explore_portfolio_with(black_box(&lib), black_box(&space), 1, CorePolicy::Uncached)
-                .unwrap()
+            explore(
+                black_box(&lib),
+                black_box(&space),
+                on(1, CorePolicy::Uncached),
+            )
+            .unwrap()
         })
     });
     group.finish();

@@ -13,11 +13,11 @@
 use std::fmt;
 use std::time::Instant;
 
-use actuary_dse::explore::{explore, ExploreSpace};
-use actuary_dse::portfolio::{explore_portfolio, PortfolioSpace, ReuseScheme};
-use actuary_dse::refine::{explore_portfolio_refined_with, RefineOptions};
+use actuary_dse::explore::{explore, ExploreMode, ExploreRequest};
+use actuary_dse::portfolio::{PortfolioResult, PortfolioSpace, ReuseScheme};
+use actuary_dse::refine::RefineOptions;
 use actuary_model::AssemblyFlow;
-use actuary_tech::IntegrationKind;
+use actuary_tech::{IntegrationKind, TechLibrary};
 use bench::library;
 
 /// Median wall-clock seconds of `runs` invocations of `f`.
@@ -31,6 +31,22 @@ fn median_secs<F: FnMut()>(runs: usize, mut f: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// Explores `space` under `mode` on `threads` workers.
+fn run(
+    lib: &TechLibrary,
+    space: &PortfolioSpace,
+    mode: ExploreMode,
+    threads: usize,
+    what: &str,
+) -> PortfolioResult {
+    let request = ExploreRequest {
+        mode,
+        threads,
+        ..ExploreRequest::default()
+    };
+    explore(lib, space, request).unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
 /// One engine's JSON section.
@@ -51,26 +67,39 @@ fn main() {
         .unwrap_or(1);
     const RUNS: usize = 3;
 
-    let explore_space = ExploreSpace::default();
+    use ExploreMode::Exhaustive;
+    let explore_space = PortfolioSpace::single_system();
     let explore_1 = median_secs(RUNS, || {
-        explore(&lib, &explore_space, 1).expect("default grid");
+        run(&lib, &explore_space, Exhaustive, 1, "default grid");
     });
     let explore_all = median_secs(RUNS, || {
-        explore(&lib, &explore_space, threads).expect("default grid");
+        run(&lib, &explore_space, Exhaustive, threads, "default grid");
     });
 
     let portfolio_space = PortfolioSpace::default();
     let portfolio_1 = median_secs(RUNS, || {
-        explore_portfolio(&lib, &portfolio_space, 1).expect("default portfolio grid");
+        run(
+            &lib,
+            &portfolio_space,
+            Exhaustive,
+            1,
+            "default portfolio grid",
+        );
     });
     let portfolio_all = median_secs(RUNS, || {
-        explore_portfolio(&lib, &portfolio_space, threads).expect("default portfolio grid");
+        run(
+            &lib,
+            &portfolio_space,
+            Exhaustive,
+            threads,
+            "default portfolio grid",
+        );
     });
 
     // The uncached reference path evaluates every non-incompatible cell,
     // so its count needs no sweep (byte-identity of the two paths is
     // asserted by `tests/integration_portfolio.rs` in tier-1).
-    let cached = explore_portfolio(&lib, &portfolio_space, threads).expect("cached");
+    let cached = run(&lib, &portfolio_space, Exhaustive, threads, "cached");
     let uncached_evaluations = cached.len() - cached.incompatible_count();
 
     // Streaming throughput of the artifact CSV path on the Figure 10
@@ -92,7 +121,7 @@ fn main() {
         fsmc_situations: PortfolioSpace::FSMC_PAPER_SITUATIONS.to_vec(),
         ..PortfolioSpace::default()
     };
-    let fig10 = explore_portfolio(&lib, &fig10_space, threads).expect("fig10 grid");
+    let fig10 = run(&lib, &fig10_space, Exhaustive, threads, "fig10 grid");
     struct Discard(usize);
     impl fmt::Write for Discard {
         fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -129,21 +158,26 @@ fn main() {
     };
     let large_cells = large_space.len();
     let start = Instant::now();
-    let large_exhaustive =
-        explore_portfolio(&lib, &large_space, threads).expect("large exhaustive grid");
+    let large_exhaustive = run(
+        &lib,
+        &large_space,
+        Exhaustive,
+        threads,
+        "large exhaustive grid",
+    );
     let large_exhaustive_secs = start.elapsed().as_secs_f64();
     const LARGE_STRIDE: usize = 32;
     let start = Instant::now();
-    let large_refined = explore_portfolio_refined_with(
+    let large_refined = run(
         &lib,
         &large_space,
-        threads,
-        RefineOptions {
+        ExploreMode::refine(RefineOptions {
             area_stride: LARGE_STRIDE,
             quantity_stride: 0,
-        },
-    )
-    .expect("large refined grid");
+        }),
+        threads,
+        "large refined grid",
+    );
     let large_refined_secs = start.elapsed().as_secs_f64();
     assert_eq!(
         large_refined.winners_artifact().csv(),
@@ -169,32 +203,37 @@ fn main() {
     };
     let quantity_cells = quantity_space.len();
     let start = Instant::now();
-    let q_exhaustive =
-        explore_portfolio(&lib, &quantity_space, threads).expect("quantity exhaustive grid");
+    let q_exhaustive = run(
+        &lib,
+        &quantity_space,
+        Exhaustive,
+        threads,
+        "quantity exhaustive grid",
+    );
     let q_exhaustive_secs = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let q_area_only = explore_portfolio_refined_with(
+    let q_area_only = run(
         &lib,
         &quantity_space,
-        threads,
-        RefineOptions {
+        ExploreMode::refine(RefineOptions {
             area_stride: 8,
             quantity_stride: 1,
-        },
-    )
-    .expect("area-only refined grid");
+        }),
+        threads,
+        "area-only refined grid",
+    );
     let q_area_only_secs = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let q_two_d = explore_portfolio_refined_with(
+    let q_two_d = run(
         &lib,
         &quantity_space,
-        threads,
-        RefineOptions {
+        ExploreMode::refine(RefineOptions {
             area_stride: 8,
             quantity_stride: 8,
-        },
-    )
-    .expect("2-D refined grid");
+        }),
+        threads,
+        "2-D refined grid",
+    );
     let q_two_d_secs = start.elapsed().as_secs_f64();
     for (label, refined) in [("area-only", &q_area_only), ("2-D", &q_two_d)] {
         assert_eq!(
@@ -241,7 +280,7 @@ fn main() {
     };
     let steal_cells = steal_space.len();
     let steal_secs = median_secs(RUNS, || {
-        explore_portfolio(&lib, &steal_space, threads).expect("steal grid");
+        run(&lib, &steal_space, Exhaustive, threads, "steal grid");
     });
     let steals_total = actuary_obs::Registry::global()
         .snapshot()

@@ -5,16 +5,37 @@
 //! winners with the `actuary-figures` Fig. 8/9/10 reproductions on their
 //! exact operating points.
 
-use chiplet_actuary::dse::explore::{explore_with, ExploreSpace};
-use chiplet_actuary::dse::portfolio::{
-    explore_portfolio, explore_portfolio_with, CorePolicy, PortfolioSpace, ReuseScheme,
-};
+use chiplet_actuary::dse::explore::{explore, ExploreRequest};
+use chiplet_actuary::dse::portfolio::{CorePolicy, PortfolioResult, PortfolioSpace, ReuseScheme};
+use chiplet_actuary::dse::ArchError;
 use chiplet_actuary::figures::{fig10, fig8, fig9};
 use chiplet_actuary::prelude::reuse::{multiset_count, FsmcSpec, OcmeSpec, ScmsSpec};
 use chiplet_actuary::prelude::*;
 
 fn lib() -> TechLibrary {
     TechLibrary::paper_defaults().unwrap()
+}
+
+fn explore_cores(
+    lib: &TechLibrary,
+    space: &PortfolioSpace,
+    threads: usize,
+    cores: CorePolicy<'_>,
+) -> Result<PortfolioResult, ArchError> {
+    let request = ExploreRequest {
+        threads,
+        cores,
+        ..ExploreRequest::default()
+    };
+    explore(lib, space, request)
+}
+
+fn explore_on(
+    lib: &TechLibrary,
+    space: &PortfolioSpace,
+    threads: usize,
+) -> Result<PortfolioResult, ArchError> {
+    explore_cores(lib, space, threads, CorePolicy::Cached)
 }
 
 fn close(a: f64, b: f64, what: &str) {
@@ -37,10 +58,10 @@ fn portfolio_grid_is_deterministic_across_thread_counts() {
         schemes: ReuseScheme::ALL.to_vec(),
         ..PortfolioSpace::default()
     };
-    let serial = explore_portfolio(&lib, &space, 1).unwrap();
+    let serial = explore_on(&lib, &space, 1).unwrap();
     assert_eq!(serial.len(), space.len());
     for threads in [2, 3, 8] {
-        let parallel = explore_portfolio(&lib, &space, threads).unwrap();
+        let parallel = explore_on(&lib, &space, threads).unwrap();
         assert_eq!(serial.cells(), parallel.cells(), "threads={threads}");
         assert_eq!(
             serial.grid_artifact().csv(),
@@ -52,7 +73,7 @@ fn portfolio_grid_is_deterministic_across_thread_counts() {
             parallel.winners_artifact().csv()
         );
     }
-    let auto = explore_portfolio(&lib, &space, 0).unwrap();
+    let auto = explore_on(&lib, &space, 0).unwrap();
     assert_eq!(serial.grid_artifact().csv(), auto.grid_artifact().csv());
 }
 
@@ -62,9 +83,9 @@ fn cached_core_is_byte_identical_and_at_least_halves_the_evaluations() {
     // own evaluation counter on both default grids.
     let lib = lib();
 
-    let single = ExploreSpace::default();
-    let cached = explore_with(&lib, &single, 4, CorePolicy::Cached).unwrap();
-    let uncached = explore_with(&lib, &single, 4, CorePolicy::Uncached).unwrap();
+    let single = PortfolioSpace::single_system();
+    let cached = explore_cores(&lib, &single, 4, CorePolicy::Cached).unwrap();
+    let uncached = explore_cores(&lib, &single, 4, CorePolicy::Uncached).unwrap();
     assert_eq!(cached.cells(), uncached.cells());
     assert_eq!(cached.grid_artifact().csv(), uncached.grid_artifact().csv());
     assert_eq!(
@@ -82,8 +103,8 @@ fn cached_core_is_byte_identical_and_at_least_halves_the_evaluations() {
     assert_eq!(cached.core_evaluations() * 3, uncached.core_evaluations());
 
     let portfolio = PortfolioSpace::default();
-    let cached = explore_portfolio_with(&lib, &portfolio, 4, CorePolicy::Cached).unwrap();
-    let uncached = explore_portfolio_with(&lib, &portfolio, 4, CorePolicy::Uncached).unwrap();
+    let cached = explore_cores(&lib, &portfolio, 4, CorePolicy::Cached).unwrap();
+    let uncached = explore_cores(&lib, &portfolio, 4, CorePolicy::Uncached).unwrap();
     assert_eq!(cached.cells(), uncached.cells());
     assert_eq!(cached.grid_artifact().csv(), uncached.grid_artifact().csv());
     assert!(
@@ -96,7 +117,7 @@ fn cached_core_is_byte_identical_and_at_least_halves_the_evaluations() {
 
 /// The SCMS anchor grid: member areas 200·m so every cell's chiplet module
 /// area is the paper's 200 mm² (7 nm, 500 k units, Figure 8's config).
-fn scms_anchor_grid(lib: &TechLibrary) -> chiplet_actuary::dse::portfolio::PortfolioResult {
+fn scms_anchor_grid(lib: &TechLibrary) -> PortfolioResult {
     let space = PortfolioSpace {
         nodes: vec!["7nm".to_string()],
         areas_mm2: vec![200.0, 400.0, 800.0],
@@ -107,7 +128,7 @@ fn scms_anchor_grid(lib: &TechLibrary) -> chiplet_actuary::dse::portfolio::Portf
         schemes: vec![ReuseScheme::Scms],
         ..PortfolioSpace::default()
     };
-    explore_portfolio(lib, &space, 2).unwrap()
+    explore_on(lib, &space, 2).unwrap()
 }
 
 #[test]
@@ -196,7 +217,7 @@ fn ocme_grid_cells_match_the_fig9_anchors() {
         schemes: vec![ReuseScheme::Ocme],
         ..PortfolioSpace::default()
     };
-    let result = explore_portfolio(&lib, &space, 2).unwrap();
+    let result = explore_on(&lib, &space, 2).unwrap();
     let fig = fig9::compute(&lib).unwrap();
     let basis = OcmeSpec::paper_example()
         .unwrap()
@@ -253,7 +274,7 @@ fn fsmc_grid_cells_reconstruct_the_fig10_average() {
         schemes: vec![ReuseScheme::Fsmc],
         ..PortfolioSpace::default()
     };
-    let result = explore_portfolio(&lib, &space, 2).unwrap();
+    let result = explore_on(&lib, &space, 2).unwrap();
 
     // First: every size cell must equal the directly-costed `sA` member.
     let direct = FsmcSpec::paper_example(4, 4)
@@ -325,7 +346,7 @@ fn fsmc_situation_axis_reproduces_all_five_fig10_bars() {
         ..PortfolioSpace::default()
     };
     assert_eq!(space.scheme_variants().len(), 5);
-    let result = explore_portfolio(&lib, &space, 2).unwrap();
+    let result = explore_on(&lib, &space, 2).unwrap();
     let cells = result.cells();
     let fig = fig10::compute(&lib).unwrap();
     let first_soc = FsmcSpec::paper_example(2, 2)
@@ -410,7 +431,7 @@ fn ocme_center_axis_reproduces_the_fig9_hetero_bars() {
         package_reuse: true,
         ..PortfolioSpace::default()
     };
-    let result = explore_portfolio(&lib, &space, 2).unwrap();
+    let result = explore_on(&lib, &space, 2).unwrap();
     let fig = fig9::compute(&lib).unwrap();
     let basis = OcmeSpec::paper_example()
         .unwrap()
@@ -460,12 +481,18 @@ fn streaming_csv_matches_the_materialized_string() {
         quantities: vec![500_000],
         ..PortfolioSpace::default()
     };
-    let result = explore_portfolio(&lib, &space, 1).unwrap();
+    let result = explore_on(&lib, &space, 1).unwrap();
     let mut streamed = String::new();
     result.grid_artifact().write_csv_to(&mut streamed).unwrap();
     assert_eq!(streamed, result.grid_artifact().csv());
 
-    let single = explore_with(&lib, &ExploreSpace::default(), 2, CorePolicy::Cached).unwrap();
+    let single = explore_cores(
+        &lib,
+        &PortfolioSpace::single_system(),
+        2,
+        CorePolicy::Cached,
+    )
+    .unwrap();
     let mut streamed = String::new();
     single.grid_artifact().write_csv_to(&mut streamed).unwrap();
     assert_eq!(streamed, single.grid_artifact().csv());
@@ -487,7 +514,7 @@ fn program_pareto_point_matches_the_fig8_anchor() {
         schemes: vec![ReuseScheme::Scms],
         ..PortfolioSpace::default()
     };
-    let result = explore_portfolio(&lib, &space, 1).unwrap();
+    let result = explore_on(&lib, &space, 1).unwrap();
     let front = result.pareto_program(ReuseScheme::Scms);
     assert_eq!(front.len(), 1);
     let cell = &front[0];

@@ -7,18 +7,41 @@
 //! committed §4.2 scenario: 2-D refinement must find the same
 //! MCM-under-SoC crossover quantity that exhaustion finds.
 
-use chiplet_actuary::dse::explore::{explore, ExploreSpace};
-use chiplet_actuary::dse::portfolio::{
-    explore_portfolio, PortfolioResult, PortfolioSpace, ReuseScheme,
-};
-use chiplet_actuary::dse::refine::{
-    explore_portfolio_refined_with, explore_refined, ExploreMode, RefineOptions,
-};
+use chiplet_actuary::dse::explore::{explore, ExploreMode, ExploreRequest};
+use chiplet_actuary::dse::portfolio::{PortfolioResult, PortfolioSpace, ReuseScheme};
+use chiplet_actuary::dse::refine::RefineOptions;
 use chiplet_actuary::prelude::*;
 use chiplet_actuary::scenario::{Job, Scenario, SweepAxis};
 
 fn lib() -> TechLibrary {
     TechLibrary::paper_defaults().unwrap()
+}
+
+fn explore_on(
+    lib: &TechLibrary,
+    space: &PortfolioSpace,
+    mode: ExploreMode,
+    threads: usize,
+) -> PortfolioResult {
+    let request = ExploreRequest {
+        mode,
+        threads,
+        ..ExploreRequest::default()
+    };
+    explore(lib, space, request).unwrap()
+}
+
+fn exhaustive(lib: &TechLibrary, space: &PortfolioSpace, threads: usize) -> PortfolioResult {
+    explore_on(lib, space, ExploreMode::Exhaustive, threads)
+}
+
+fn refined(
+    lib: &TechLibrary,
+    space: &PortfolioSpace,
+    threads: usize,
+    options: RefineOptions,
+) -> PortfolioResult {
+    explore_on(lib, space, ExploreMode::refine(options), threads)
 }
 
 /// A tier-1-sized reference grid with a long strictly increasing area
@@ -65,10 +88,9 @@ fn area_strides(stride: usize) -> RefineOptions {
 fn refined_portfolio_matches_exhaustion_across_strides_and_threads() {
     let lib = lib();
     let space = reference_space();
-    let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
+    let exhaustive = exhaustive(&lib, &space, 1);
     for (stride, threads) in [(4, 1), (4, 4), (8, 1), (8, 4)] {
-        let refined =
-            explore_portfolio_refined_with(&lib, &space, threads, area_strides(stride)).unwrap();
+        let refined = refined(&lib, &space, threads, area_strides(stride));
         assert_eq!(refined.len(), exhaustive.len());
         assert_eq!(
             refined.winners_artifact().csv(),
@@ -109,13 +131,13 @@ fn refined_portfolio_matches_exhaustion_across_strides_and_threads() {
 fn quantity_refined_portfolio_matches_exhaustion_across_strides_and_threads() {
     let lib = lib();
     let space = quantity_swept_space();
-    let exhaustive = explore_portfolio(&lib, &space, 1).unwrap();
+    let exhaustive = exhaustive(&lib, &space, 1);
     for (quantity_stride, threads) in [(4, 1), (4, 4), (8, 1), (8, 4)] {
         let options = RefineOptions {
             area_stride: 4,
             quantity_stride,
         };
-        let refined = explore_portfolio_refined_with(&lib, &space, threads, options).unwrap();
+        let refined = refined(&lib, &space, threads, options);
         assert_eq!(
             refined.winners_artifact().csv(),
             exhaustive.winners_artifact().csv(),
@@ -150,8 +172,8 @@ fn quantity_refined_portfolio_matches_exhaustion_across_strides_and_threads() {
 fn refined_decisions_do_not_depend_on_the_thread_count() {
     let lib = lib();
     let space = reference_space();
-    let serial = explore_portfolio_refined_with(&lib, &space, 1, area_strides(8)).unwrap();
-    let parallel = explore_portfolio_refined_with(&lib, &space, 4, area_strides(8)).unwrap();
+    let serial = refined(&lib, &space, 1, area_strides(8));
+    let parallel = refined(&lib, &space, 4, area_strides(8));
     // Not just the headline tables: the entire evaluated/pruned cell set
     // and the evaluation count must be identical, or refinement decisions
     // leaked a dependence on work scheduling.
@@ -207,8 +229,8 @@ fn two_d_refinement_finds_the_crossover_quantity_of_the_committed_scenario() {
         schemes: vec![ReuseScheme::None],
         ..PortfolioSpace::default()
     };
-    let exhaustive = explore_portfolio(&lib(), &space, 1).unwrap();
-    let refined = explore_portfolio_refined_with(
+    let exhaustive = exhaustive(&lib(), &space, 1);
+    let refined = refined(
         &lib(),
         &space,
         1,
@@ -216,8 +238,7 @@ fn two_d_refinement_finds_the_crossover_quantity_of_the_committed_scenario() {
             area_stride: 1,
             quantity_stride: 4,
         },
-    )
-    .unwrap();
+    );
 
     let anchor = mcm_crossover_quantity(&exhaustive)
         .expect("§4.2: the MCM must undercut the SoC at some swept quantity");
@@ -239,16 +260,17 @@ fn two_d_refinement_finds_the_crossover_quantity_of_the_committed_scenario() {
 #[test]
 fn single_system_refinement_matches_explore_through_the_facade() {
     let lib = lib();
-    let space = ExploreSpace {
+    let space = PortfolioSpace {
         nodes: vec!["7nm".to_string(), "5nm".to_string()],
         areas_mm2: (1..=30).map(|i| f64::from(i) * 40.0).collect(),
         quantities: vec![500_000, 10_000_000],
         integrations: IntegrationKind::ALL.to_vec(),
         chiplet_counts: vec![1, 2, 3, 4, 5],
-        flow: AssemblyFlow::ChipLast,
+        ..PortfolioSpace::single_system()
     };
-    let exhaustive = explore(&lib, &space, 2).unwrap();
-    let refined = explore_refined(&lib, &space, 2).unwrap();
+    let exhaustive = exhaustive(&lib, &space, 2);
+    let refined = refined(&lib, &space, 2, RefineOptions::default());
+    assert!(refined.pruned_count() > 0);
     assert_eq!(
         refined.winners_artifact().csv(),
         exhaustive.winners_artifact().csv()
@@ -265,10 +287,20 @@ fn single_system_refinement_matches_explore_through_the_facade() {
 
 #[test]
 fn explore_mode_parses_the_scenario_spelling() {
-    assert_eq!("refine".parse::<ExploreMode>(), Ok(ExploreMode::Refine));
-    assert_eq!(
+    match "refine".parse::<ExploreMode>() {
+        Ok(ExploreMode::Refine { strides, observer }) => {
+            assert_eq!(
+                strides,
+                RefineOptions::default(),
+                "refine starts from auto strides"
+            );
+            assert!(observer.is_none());
+        }
+        other => panic!("`refine` must parse to an unobserved refine walk, got {other:?}"),
+    }
+    assert!(matches!(
         "EXHAUSTIVE".parse::<ExploreMode>(),
         Ok(ExploreMode::Exhaustive)
-    );
+    ));
     assert!("adaptive".parse::<ExploreMode>().is_err());
 }

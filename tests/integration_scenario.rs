@@ -5,7 +5,7 @@
 //! only the cells it names, and a library serialized to scenario form must
 //! round-trip to a byte-identical exploration CSV.
 
-use chiplet_actuary::dse::portfolio::explore_portfolio;
+use chiplet_actuary::dse::explore::{explore, ExploreRequest};
 use chiplet_actuary::figures::{fig10, fig2, fig6, fig8, fig9};
 use chiplet_actuary::prelude::reuse::{OcmeSpec, ScmsSpec};
 use chiplet_actuary::prelude::*;
@@ -308,7 +308,11 @@ fn wafer_price_override_changes_only_the_named_node() {
     assert_eq!(run.explores.len(), 1);
     let overridden = &run.explores[0].result;
     // The preset run over the *same* space.
-    let preset = explore_portfolio(&lib(), overridden.space(), 2).unwrap();
+    let request = ExploreRequest {
+        threads: 2,
+        ..ExploreRequest::default()
+    };
+    let preset = explore(&lib(), overridden.space(), request).unwrap();
     assert_eq!(preset.len(), overridden.len());
     let mut seven_nm_diffs = 0usize;
     for (p, o) in preset.cells().iter().zip(overridden.cells()) {
@@ -360,7 +364,11 @@ fn serialized_library_round_trips_to_byte_identical_exploration_csv() {
     // ...so the exploration CSV through the scenario path is byte-identical
     // to the preset path.
     let run = scenario.run(2).unwrap();
-    let direct = explore_portfolio(&lib, run.explores[0].result.space(), 2).unwrap();
+    let request = ExploreRequest {
+        threads: 2,
+        ..ExploreRequest::default()
+    };
+    let direct = explore(&lib, run.explores[0].result.space(), request).unwrap();
     assert_eq!(
         run.explores[0].result.grid_artifact().csv(),
         direct.grid_artifact().csv()

@@ -199,14 +199,49 @@ impl fmt::Display for PortfolioCost {
 }
 
 /// One shared NRE artifact before amortization: total cost plus the usage
-/// weight each system contributes (`uses × quantity` is the allocation
+/// each member system contributes (`uses × quantity` is the allocation
 /// weight of Eq. (7)/(8)).
 #[derive(Debug, Clone, PartialEq)]
 struct EntityDraft {
     kind: NreEntityKind,
     name: String,
     cost: Money,
-    uses: BTreeMap<String, f64>,
+    /// `(member index, uses)` of every user, sorted by member *name*: that
+    /// is the summation order of `Σ uses·q`, which the byte-identity of
+    /// every amortized figure depends on ("10X" sums before "2X").
+    users: Vec<(usize, f64)>,
+}
+
+impl EntityDraft {
+    /// `Σ_k uses_k · q_k` over the users, in name order.
+    fn total_weight(&self, quantity_of: impl Fn(usize) -> f64) -> f64 {
+        self.users
+            .iter()
+            .map(|&(k, uses)| uses * quantity_of(k))
+            .sum()
+    }
+
+    /// Per-unit share of a user with `uses` of the artifact: its total
+    /// share `cost × uses·q / Σ` divided by its own `q`, i.e.
+    /// `cost × uses / Σ` (zero when no user is produced).
+    fn per_unit_share(&self, uses: f64, total_weight: f64) -> Money {
+        if total_weight > 0.0 {
+            self.cost * (uses / total_weight)
+        } else {
+            Money::ZERO
+        }
+    }
+}
+
+/// Adds `amount` to the component of `nre` that artifacts of `kind` book
+/// into.
+fn book(nre: &mut NreBreakdown, kind: NreEntityKind, amount: Money) {
+    match kind {
+        NreEntityKind::Module => nre.modules += amount,
+        NreEntityKind::Chip => nre.chips += amount,
+        NreEntityKind::Package => nre.packages += amount,
+        NreEntityKind::D2d => nre.d2d += amount,
+    }
 }
 
 /// The quantity-independent part of a [`Portfolio::cost`] evaluation:
@@ -214,20 +249,33 @@ struct EntityDraft {
 /// usage weights.
 ///
 /// Computing the core is the expensive step (yield models, wafer gridding,
-/// package sizing); spreading it over production quantities is cheap
-/// arithmetic. Exploration engines therefore cache cores keyed on geometry
-/// and re-amortize one core per quantity (and per reuse scheme), which is
-/// where the quantity axis of a grid stops costing anything.
+/// package sizing); spreading it over production quantities is a few flops
+/// per artifact. The core is stored index-based: each artifact lists its
+/// `(member, uses)` pairs and each member lists the `(artifact, uses)`
+/// pairs it draws on, so no name is looked up or allocated to amortize.
 ///
-/// [`PortfolioCore::amortize`] reproduces [`Portfolio::cost`] exactly —
-/// `cost` is implemented as `core` followed by `amortize`, so the two paths
-/// cannot drift apart.
+/// Two read-outs share one arithmetic:
+///
+/// * [`PortfolioCore::member_at`] is the closed form of one member at a
+///   uniform quantity `q`: `RE + Σ_e cost_e · uses_m / Σ_k(uses_k · q)`.
+///   Exploration engines cache cores keyed on geometry and call it per
+///   grid cell, which is where the quantity and member axes of a grid stop
+///   costing anything.
+/// * [`PortfolioCore::amortize`] / [`PortfolioCore::amortize_with`] build
+///   the named [`PortfolioCost`] breakdown; [`Portfolio::cost`] is `core`
+///   followed by `amortize`.
+///
+/// `member_at(m, q)` equals `amortize_with(&[q; n]).systems()[m]` bit for
+/// bit (the crate's `amortize_closed_form` property tests pin it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioCore {
     names: Vec<String>,
     quantities: Vec<Quantity>,
     re: Vec<ReCostBreakdown>,
-    drafts: Vec<EntityDraft>,
+    entities: Vec<EntityDraft>,
+    /// Per member: `(entity index, own uses)` of every artifact it uses,
+    /// in entity order.
+    member_uses: Vec<Vec<(usize, f64)>>,
 }
 
 impl PortfolioCore {
@@ -253,12 +301,6 @@ impl PortfolioCore {
         self.amortize_impl(&self.quantities)
     }
 
-    /// Amortizes the NRE with every system at the same production
-    /// `quantity` — the per-quantity pass of a cached exploration grid.
-    pub fn amortize_at(&self, quantity: Quantity) -> PortfolioCost {
-        self.amortize_impl(&vec![quantity; self.names.len()])
-    }
-
     /// Amortizes the NRE over caller-supplied per-system quantities (in
     /// portfolio order).
     ///
@@ -279,70 +321,78 @@ impl PortfolioCore {
         Ok(self.amortize_impl(quantities))
     }
 
+    /// The closed-form cost of member `member` (portfolio order) with every
+    /// system produced `quantity` times: `(per-unit total, per-unit RE)`.
+    ///
+    /// Bit-identical to the member's `per_unit_total()` and `re().total()`
+    /// in `amortize_with(&[quantity; n])`, without building the breakdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `member >= self.len()`.
+    pub fn member_at(&self, member: usize, quantity: Quantity) -> (Money, Money) {
+        let q = quantity.as_f64();
+        let nre = self.member_nre(member, |e| self.entities[e].total_weight(|_| q));
+        let re = self.re[member].total();
+        (re + nre.total(), re)
+    }
+
+    /// Member `member`'s per-unit NRE, given each entity's total weight.
+    /// Entities the member does not use are skipped: they would add `+0.0`
+    /// to a non-negative sum, which leaves it bit-identical.
+    fn member_nre(&self, member: usize, total_weight: impl Fn(usize) -> f64) -> NreBreakdown {
+        let mut nre = NreBreakdown::default();
+        for &(e, uses) in &self.member_uses[member] {
+            let entity = &self.entities[e];
+            book(
+                &mut nre,
+                entity.kind,
+                entity.per_unit_share(uses, total_weight(e)),
+            );
+        }
+        nre
+    }
+
     fn amortize_impl(&self, quantities: &[Quantity]) -> PortfolioCost {
-        let quantity_of: BTreeMap<&str, Quantity> = self
-            .names
+        let weights: Vec<f64> = self
+            .entities
             .iter()
-            .map(String::as_str)
-            .zip(quantities.iter().copied())
+            .map(|d| d.total_weight(|k| quantities[k].as_f64()))
             .collect();
-        let mut entities = Vec::with_capacity(self.drafts.len());
-        for draft in &self.drafts {
-            let total_weight: f64 = draft
-                .uses
-                .iter()
-                .map(|(sys, uses)| uses * quantity_of[sys.as_str()].as_f64())
-                .sum();
-            let mut allocations = BTreeMap::new();
-            for (sys, uses) in &draft.uses {
-                // share_j (total) = cost × (uses_j × q_j) / Σ; per unit
-                // divide by q_j → cost × uses_j / Σ.
-                let per_unit = if total_weight > 0.0 {
-                    draft.cost * (uses / total_weight)
-                } else {
-                    Money::ZERO
-                };
-                allocations.insert(sys.clone(), per_unit);
-            }
-            entities.push(NreEntity {
+        let entities = self
+            .entities
+            .iter()
+            .zip(&weights)
+            .map(|(draft, &total_weight)| NreEntity {
                 kind: draft.kind,
                 name: draft.name.clone(),
                 cost: draft.cost,
-                allocations,
-            });
-        }
-
-        let mut systems_out = Vec::with_capacity(self.names.len());
-        for ((name, &quantity), re) in self.names.iter().zip(quantities).zip(&self.re) {
-            let mut nre = NreBreakdown::default();
-            for e in &entities {
-                let share = e.allocation_for(name);
-                match e.kind() {
-                    NreEntityKind::Module => nre.modules += share,
-                    NreEntityKind::Chip => nre.chips += share,
-                    NreEntityKind::Package => nre.packages += share,
-                    NreEntityKind::D2d => nre.d2d += share,
-                }
-            }
-            systems_out.push(SystemCost {
-                name: name.clone(),
-                quantity,
-                re: *re,
-                nre_per_unit: nre,
-            });
-        }
+                allocations: draft
+                    .users
+                    .iter()
+                    .map(|&(k, uses)| {
+                        (
+                            self.names[k].clone(),
+                            draft.per_unit_share(uses, total_weight),
+                        )
+                    })
+                    .collect(),
+            })
+            .collect();
+        let systems = (0..self.names.len())
+            .map(|m| SystemCost {
+                name: self.names[m].clone(),
+                quantity: quantities[m],
+                re: self.re[m],
+                nre_per_unit: self.member_nre(m, |e| weights[e]),
+            })
+            .collect();
         let mut nre_total = NreBreakdown::default();
-        for e in &entities {
-            match e.kind() {
-                NreEntityKind::Module => nre_total.modules += e.cost(),
-                NreEntityKind::Chip => nre_total.chips += e.cost(),
-                NreEntityKind::Package => nre_total.packages += e.cost(),
-                NreEntityKind::D2d => nre_total.d2d += e.cost(),
-            }
+        for draft in &self.entities {
+            book(&mut nre_total, draft.kind, draft.cost);
         }
-
         PortfolioCost {
-            systems: systems_out,
+            systems,
             entities,
             nre_total,
         }
@@ -393,8 +443,9 @@ impl Portfolio {
     /// smaller members pay the oversized package's RE (§5.1).
     ///
     /// Implemented as [`Portfolio::core`] followed by
-    /// [`PortfolioCore::amortize`], so cached exploration engines that
-    /// re-amortize one core per quantity produce byte-identical results.
+    /// [`PortfolioCore::amortize`]; cached exploration engines price one
+    /// core per quantity with [`PortfolioCore::member_at`], which shares
+    /// that arithmetic and so produces byte-identical results.
     ///
     /// # Errors
     ///
@@ -471,7 +522,7 @@ impl Portfolio {
         }
 
         // --- NRE entities with usage-weighted allocation. -------------------
-        // usage[system -> uses]; weight = uses × quantity.
+        // users[(member, uses)]; weight = uses × quantity.
         let mut drafts: Vec<EntityDraft> = Vec::new();
         let mut index: BTreeMap<(NreEntityKind, String), usize> = BTreeMap::new();
 
@@ -480,7 +531,7 @@ impl Portfolio {
                        kind: NreEntityKind,
                        name: String,
                        cost: Money,
-                       system: &str,
+                       member: usize,
                        uses: f64|
          -> Result<(), ArchError> {
             let key = (kind, name.clone());
@@ -502,17 +553,23 @@ impl Portfolio {
                         kind,
                         name: name.clone(),
                         cost,
-                        uses: BTreeMap::new(),
+                        users: Vec::new(),
                     });
                     index.insert(key, drafts.len() - 1);
                     drafts.len() - 1
                 }
             };
-            *drafts[idx].uses.entry(system.to_string()).or_insert(0.0) += uses;
+            // Systems are walked in order, so a repeat use by this member
+            // is always the last entry.
+            let users = &mut drafts[idx].users;
+            match users.last_mut() {
+                Some((last, total)) if *last == member => *total += uses,
+                _ => users.push((member, uses)),
+            }
             Ok(())
         };
 
-        for s in &self.systems {
+        for (member, s) in self.systems.iter().enumerate() {
             // Module and chip designs.
             for (chip, count) in s.chips() {
                 let node = lib.node(chip.node().as_str())?;
@@ -523,7 +580,7 @@ impl Portfolio {
                     NreEntityKind::Chip,
                     chip.name().to_string(),
                     chip_level_nre(node, die_area),
-                    s.name(),
+                    member,
                     *count as f64,
                 )?;
                 for m in chip.modules() {
@@ -533,7 +590,7 @@ impl Portfolio {
                         NreEntityKind::Module,
                         format!("{}@{}", m.name(), m.node()),
                         module_design_cost(node, m.area()),
-                        s.name(),
+                        member,
                         *count as f64,
                     )?;
                 }
@@ -545,7 +602,7 @@ impl Portfolio {
                         NreEntityKind::D2d,
                         format!("d2d@{}", chip.node()),
                         d2d_nre(node),
-                        s.name(),
+                        member,
                         *count as f64,
                     )?;
                 }
@@ -562,16 +619,28 @@ impl Portfolio {
                 NreEntityKind::Package,
                 pkg_name,
                 package_nre_for_silicon(packaging, silicon_basis)?,
-                s.name(),
+                member,
                 1.0,
             )?;
         }
 
+        let names: Vec<String> = self.systems.iter().map(|s| s.name().to_string()).collect();
+        let mut member_uses: Vec<Vec<(usize, f64)>> = vec![Vec::new(); names.len()];
+        for (e, draft) in drafts.iter_mut().enumerate() {
+            draft
+                .users
+                .sort_unstable_by(|a, b| names[a.0].cmp(&names[b.0]));
+            for &(member, uses) in &draft.users {
+                member_uses[member].push((e, uses));
+            }
+        }
+
         Ok(PortfolioCore {
-            names: self.systems.iter().map(|s| s.name().to_string()).collect(),
+            names,
             quantities: self.systems.iter().map(System::quantity).collect(),
             re: re_by_system,
-            drafts,
+            entities: drafts,
+            member_uses,
         })
     }
 }
@@ -833,10 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn amortize_at_matches_a_rebuilt_portfolio() {
+    fn uniform_amortization_matches_a_rebuilt_portfolio() {
         // The cached-grid contract: one core re-amortized per quantity must
         // be byte-identical to rebuilding and costing the portfolio at that
-        // quantity.
+        // quantity, and so must its closed-form member read-out.
         let lib = lib();
         let build = |qty: u64| {
             Portfolio::new(vec![
@@ -846,9 +915,18 @@ mod tests {
         };
         let core = build(1).core(&lib, AssemblyFlow::ChipLast).unwrap();
         for qty in [1_000u64, 500_000, 10_000_000] {
-            let cached = core.amortize_at(Quantity::new(qty));
+            let q = Quantity::new(qty);
+            let cached = core.amortize_with(&[q, q]).unwrap();
             let rebuilt = build(qty).cost(&lib, AssemblyFlow::ChipLast).unwrap();
             assert_eq!(cached, rebuilt, "quantity {qty}");
+            for (m, sc) in rebuilt.systems().iter().enumerate() {
+                let (per_unit, re) = core.member_at(m, q);
+                assert_eq!(
+                    per_unit.usd().to_bits(),
+                    sc.per_unit_total().usd().to_bits()
+                );
+                assert_eq!(re.usd().to_bits(), sc.re().total().usd().to_bits());
+            }
         }
     }
 

@@ -327,6 +327,28 @@ fn explore_rejects_an_empty_axis() {
 }
 
 #[test]
+fn explore_rejects_a_zero_quantity() {
+    // A zero quantity used to price its cells as RE only and call them
+    // feasible; it is rejected like `cost --quantity 0`.
+    let out = actuary(&[
+        "explore",
+        "--nodes",
+        "7nm",
+        "--areas",
+        "400",
+        "--quantities",
+        "0,1000000",
+        "--chiplets",
+        "1,2",
+        "--csv",
+    ]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "no grid rows are emitted");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("quantity must be at least 1"), "{stderr}");
+}
+
+#[test]
 fn explore_schemes_prints_per_scheme_winner_tables() {
     let text = stdout(&[
         "explore",

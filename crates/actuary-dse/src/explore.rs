@@ -21,8 +21,8 @@
 //!   [`actuary_tech::TechLibrary`] is shared by reference, no dependencies
 //!   are added.
 //! * **Cached** — the expensive RE/NRE core of a cell depends only on its
-//!   geometry, so one core is evaluated per distinct geometry and
-//!   re-amortized per quantity: ~3× fewer full evaluations on the default
+//!   geometry, so one core is evaluated per distinct geometry and priced
+//!   per quantity in closed form: ~3× fewer full evaluations on the default
 //!   grid, byte-identical output (see [`PortfolioResult::core_evaluations`]
 //!   and [`CorePolicy`]).
 //! * **Deterministic** — results come back in grid order (node → area →
@@ -180,7 +180,7 @@ impl Default for ExploreRequest<'_> {
 ///
 /// Results come back in grid order whatever the thread count. Under the
 /// default [`CorePolicy::Cached`] one RE/NRE core is evaluated per
-/// distinct geometry and re-amortized per quantity — byte-identical to
+/// distinct geometry and priced per cell in closed form — byte-identical to
 /// [`CorePolicy::Uncached`], at a third of the work on the default grid.
 ///
 /// # Errors

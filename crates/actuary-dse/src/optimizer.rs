@@ -124,17 +124,20 @@ pub struct CandidateCore {
 }
 
 impl CandidateCore {
-    /// Amortizes the cached core at `quantity`, producing the same
-    /// [`Candidate`] as [`evaluate_candidate`] — byte for byte, because
-    /// both run the identical [`PortfolioCore`] arithmetic.
+    /// Amortizes the cached core at `quantity` with the closed form
+    /// [`PortfolioCore::member_at`]: no [`actuary_arch::PortfolioCost`] is
+    /// built. The result is the same [`Candidate`] as [`evaluate_candidate`],
+    /// and it is bit-identical to the system's
+    /// [`actuary_arch::Portfolio::cost`] breakdown at that quantity — the
+    /// `amortize_closed_form` property tests of `actuary-arch` pin the
+    /// closed form against the breakdown bit for bit.
     pub fn at_quantity(&self, quantity: Quantity) -> Candidate {
-        let cost = self.core.amortize_at(quantity);
-        let sc = &cost.systems()[0];
+        let (per_unit, re_per_unit) = self.core.member_at(0, quantity);
         Candidate {
             integration: self.integration,
             chiplets: self.chiplets,
-            per_unit: sc.per_unit_total(),
-            re_per_unit: sc.re().total(),
+            per_unit,
+            re_per_unit,
         }
     }
 }

@@ -53,18 +53,20 @@
 //! entity totals) depends only on (scheme, node, per-socket area,
 //! integration, flow) — not on quantity, and not on which family member
 //! the cell reads out. The engine therefore evaluates one
-//! [`actuary_arch::PortfolioCore`] per distinct key and re-amortizes it
-//! per quantity, which removes the quantity axis (and the member axis of
-//! the reuse families) from the evaluation cost: on the default grid this
-//! is ~3× fewer full evaluations, with byte-identical output because
-//! [`actuary_arch::Portfolio::cost`] itself is core + amortize.
+//! [`actuary_arch::PortfolioCore`] per distinct key and prices every cell
+//! reading it with the closed form
+//! [`actuary_arch::PortfolioCore::member_at`], which removes the quantity
+//! axis (and the member axis of the reuse families) from the evaluation
+//! cost: on the default grid this is ~3× fewer full evaluations. The
+//! output is byte-identical to costing each cell's family from scratch,
+//! because the closed form equals [`actuary_arch::Portfolio::cost`]'s
+//! breakdown bit for bit (property-tested in `actuary-arch`).
 //! [`CorePolicy::Uncached`] keeps the reference path alive for tests.
 //!
-//! The amortization pass is structured struct-of-arrays over the cells
-//! sharing one core: every core walks its own cell list contiguously,
-//! amortizing each distinct quantity once and reading members out of that
-//! one allocation, instead of the cells chasing a shared `(core,
-//! quantity)` map cell by cell.
+//! The amortization pass walks the cells sharing one core contiguously:
+//! a family cell's member index is resolved once per (core, member), and
+//! each cell then costs a few flops per NRE artifact — no breakdown is
+//! built, and no name is formatted or compared per cell.
 //!
 //! Work is dealt across workers as per-worker deques of chunk ranges,
 //! and a worker that runs dry steals half of a victim's remaining ranges
@@ -103,7 +105,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 
 use actuary_arch::reuse::{FsmcSpec, OcmeSpec, ScmsSpec};
-use actuary_arch::{ArchError, PortfolioCore, PortfolioCost};
+use actuary_arch::{ArchError, PortfolioCore};
 use actuary_model::AssemblyFlow;
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
 use actuary_units::{Area, Artifact, Quantity};
@@ -389,6 +391,13 @@ impl PortfolioSpace {
         }
         for &mm2 in &self.areas_mm2 {
             Area::from_mm2(mm2)?;
+        }
+        // Zero units leave no one to carry the NRE: pricing such a cell
+        // would silently report RE only.
+        if self.quantities.contains(&0) {
+            return Err(ArchError::InvalidArchitecture {
+                reason: "production quantity must be at least 1, got 0".to_string(),
+            });
         }
         if self.chiplet_counts.contains(&0) {
             return Err(ArchError::InvalidArchitecture {
@@ -1607,8 +1616,8 @@ fn core_geometry(scheme: ReuseScheme, area_mm2: f64, chiplets: u32) -> (f64, u32
     }
 }
 
-/// The family member a compatible cell reads out of its
-/// [`PortfolioCost`]. Only called for family schemes (`none` cells read
+/// The name of the family member a compatible cell reads out of its
+/// [`PortfolioCore`]. Only called for family schemes (`none` cells read
 /// their single core directly).
 fn member_name(scheme: ReuseScheme, chiplets: u32, soc: bool) -> String {
     let suffix = if soc { "-soc" } else { "" };
@@ -1789,11 +1798,11 @@ pub(crate) fn exhaustive(
     evaluate_span.record("core_evaluations", core_evaluations as u64);
     drop(evaluate_span);
 
-    // --- Phase C: struct-of-arrays amortization, one contiguous pass per -
-    // core. Every core owns the list of cells that read it; a worker walks
-    // that list once, amortizing each distinct quantity a single time and
-    // reading family members out of the same allocation — no shared
-    // (core, quantity) map, no per-cell pointer chasing.
+    // --- Phase C: closed-form amortization, one contiguous pass per core.
+    // Every core owns the list of cells that read it; a worker walks that
+    // list once and prices each cell with `PortfolioCore::member_at` — a
+    // few flops per NRE artifact, no `PortfolioCost` built, no name
+    // formatted or compared per cell.
     let mut amortize_span = actuary_obs::span!("dse.amortize");
     amortize_span.record("cells", evaluable.len() as u64);
     let mut by_core: Vec<Vec<usize>> = vec![Vec::new(); specs.len()];
@@ -1810,38 +1819,38 @@ pub(crate) fn exhaustive(
                     }
                 }
                 Ok(CoreValue::Single(core)) => {
-                    let mut amortized: BTreeMap<u64, Candidate> = BTreeMap::new();
                     for &j in core_cells {
                         let idx = shape.coords(evaluable[j].0);
-                        let quantity = space.quantities[idx.quantity];
-                        let candidate = amortized
-                            .entry(quantity)
-                            .or_insert_with(|| core.at_quantity(Quantity::new(quantity)));
-                        out.push((j, CellOutcome::Feasible(candidate.clone())));
+                        let quantity = Quantity::new(space.quantities[idx.quantity]);
+                        out.push((j, CellOutcome::Feasible(core.at_quantity(quantity))));
                     }
                 }
                 Ok(CoreValue::Family(core)) => {
-                    let mut amortized: BTreeMap<u64, PortfolioCost> = BTreeMap::new();
+                    // A core fixes the scheme variant and the integration,
+                    // so the chiplet count alone picks the member: resolve
+                    // its index once per (core, member).
+                    let mut members: Vec<Option<usize>> = vec![None; space.chiplet_counts.len()];
                     for &j in core_cells {
                         let idx = shape.coords(evaluable[j].0);
-                        let quantity = space.quantities[idx.quantity];
-                        let cost = amortized
-                            .entry(quantity)
-                            .or_insert_with(|| core.amortize_at(Quantity::new(quantity)));
+                        let quantity = Quantity::new(space.quantities[idx.quantity]);
                         let integration = space.integrations[idx.integration];
                         let chiplets = space.chiplet_counts[idx.chiplets];
-                        let soc = integration == IntegrationKind::Soc;
-                        let member = member_name(variants[idx.variant].scheme, chiplets, soc);
-                        let sc = cost
-                            .system(&member)
-                            .expect("the family contains every planned member");
+                        let member = *members[idx.chiplets].get_or_insert_with(|| {
+                            let soc = integration == IntegrationKind::Soc;
+                            let name = member_name(variants[idx.variant].scheme, chiplets, soc);
+                            core.system_names()
+                                .iter()
+                                .position(|n| *n == name)
+                                .expect("the family contains every planned member")
+                        });
+                        let (per_unit, re_per_unit) = core.member_at(member, quantity);
                         out.push((
                             j,
                             CellOutcome::Feasible(Candidate {
                                 integration,
                                 chiplets,
-                                per_unit: sc.per_unit_total(),
-                                re_per_unit: sc.re().total(),
+                                per_unit,
+                                re_per_unit,
                             }),
                         ));
                     }
@@ -1944,7 +1953,7 @@ fn eval_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, ExploreRequest};
+    use crate::explore::{explore, ExploreMode, ExploreRequest};
     use actuary_model::AssemblyFlow;
 
     fn lib() -> TechLibrary {
@@ -2072,6 +2081,33 @@ mod tests {
             ..base
         };
         assert!(explore_on(&lib(), &center_unknown, 1).is_err());
+    }
+
+    #[test]
+    fn zero_quantity_is_rejected_not_priced_as_re_only() {
+        // Amortizing NRE over zero units would report a feasible cell that
+        // silently drops the NRE; every front door reaches `validate`.
+        let space = PortfolioSpace {
+            quantities: vec![0, 1_000_000],
+            ..small_space()
+        };
+        let err = space.validate().unwrap_err();
+        assert!(
+            err.to_string().contains("quantity must be at least 1"),
+            "{err}"
+        );
+        for mode in [ExploreMode::Exhaustive, "refine".parse().unwrap()] {
+            let request = ExploreRequest {
+                mode,
+                threads: 1,
+                ..ExploreRequest::default()
+            };
+            let err = explore(&lib(), &space, request).unwrap_err();
+            assert!(
+                err.to_string().contains("quantity must be at least 1"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -287,6 +287,25 @@ mod tests {
     }
 
     #[test]
+    fn explore_job_rejects_a_zero_quantity() {
+        // Zero units would amortize no NRE: the job fails instead of
+        // reporting RE-only cells as feasible.
+        let s = Scenario::from_toml(&minimal(concat!(
+            "[explore]\n",
+            "nodes = [\"7nm\"]\n",
+            "areas_mm2 = [400.0]\n",
+            "quantities = [0, 1000000]\n",
+            "chiplets = [1, 2]\n",
+        )))
+        .unwrap();
+        let err = s.run(1).unwrap_err();
+        assert!(
+            err.to_string().contains("quantity must be at least 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn sweep_job_runs_the_figure4_workload() {
         let s = Scenario::from_toml(&minimal(concat!(
             "[[sweep]]\n",

@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -473,9 +473,9 @@ impl Portfolio {
         }
         // --- Uniqueness of system names. ---------------------------------
         {
-            let mut seen = BTreeMap::new();
+            let mut seen = BTreeSet::new();
             for s in &self.systems {
-                if seen.insert(s.name().to_string(), ()).is_some() {
+                if !seen.insert(s.name()) {
                     return Err(ArchError::InvalidArchitecture {
                         reason: format!("duplicate system name {:?}", s.name()),
                     });
@@ -484,18 +484,16 @@ impl Portfolio {
         }
 
         // --- Shared package designs: group, validate, size. ---------------
-        let mut design_silicon: BTreeMap<String, Area> = BTreeMap::new();
-        let mut design_kind: BTreeMap<String, actuary_tech::IntegrationKind> = BTreeMap::new();
+        let mut design_silicon: BTreeMap<&str, Area> = BTreeMap::new();
+        let mut design_kind: BTreeMap<&str, actuary_tech::IntegrationKind> = BTreeMap::new();
         for s in &self.systems {
             if let Some(design) = s.package_design() {
                 let silicon = s.total_silicon(lib)?;
-                let entry = design_silicon
-                    .entry(design.to_string())
-                    .or_insert(Area::ZERO);
+                let entry = design_silicon.entry(design).or_insert(Area::ZERO);
                 *entry = entry.max(silicon);
                 match design_kind.get(design) {
                     None => {
-                        design_kind.insert(design.to_string(), s.integration());
+                        design_kind.insert(design, s.integration());
                     }
                     Some(kind) if *kind != s.integration() => {
                         return Err(ArchError::InvalidArchitecture {
@@ -522,20 +520,24 @@ impl Portfolio {
         }
 
         // --- NRE entities with usage-weighted allocation. -------------------
-        // users[(member, uses)]; weight = uses × quantity.
+        // users[(member, uses)]; weight = uses × quantity. One name → draft
+        // map per artifact kind, queried by `&str`: derived names are
+        // formatted into the one reused `key` buffer, so a repeat use of an
+        // artifact allocates nothing.
         let mut drafts: Vec<EntityDraft> = Vec::new();
-        let mut index: BTreeMap<(NreEntityKind, String), usize> = BTreeMap::new();
+        let mut index: [BTreeMap<String, usize>; 4] = Default::default();
+        let mut key = String::new();
 
         let add_use = |drafts: &mut Vec<EntityDraft>,
-                       index: &mut BTreeMap<(NreEntityKind, String), usize>,
+                       index: &mut [BTreeMap<String, usize>; 4],
                        kind: NreEntityKind,
-                       name: String,
+                       name: &str,
                        cost: Money,
                        member: usize,
                        uses: f64|
          -> Result<(), ArchError> {
-            let key = (kind, name.clone());
-            let idx = match index.get(&key) {
+            let by_name = &mut index[kind as usize];
+            let idx = match by_name.get(name) {
                 Some(&i) => {
                     // Same design must have consistent cost (geometry).
                     if (drafts[i].cost.usd() - cost.usd()).abs() > 1e-6 {
@@ -551,11 +553,11 @@ impl Portfolio {
                 None => {
                     drafts.push(EntityDraft {
                         kind,
-                        name: name.clone(),
+                        name: name.to_string(),
                         cost,
                         users: Vec::new(),
                     });
-                    index.insert(key, drafts.len() - 1);
+                    by_name.insert(name.to_string(), drafts.len() - 1);
                     drafts.len() - 1
                 }
             };
@@ -578,17 +580,21 @@ impl Portfolio {
                     &mut drafts,
                     &mut index,
                     NreEntityKind::Chip,
-                    chip.name().to_string(),
+                    chip.name(),
                     chip_level_nre(node, die_area),
                     member,
                     *count as f64,
                 )?;
                 for m in chip.modules() {
+                    key.clear();
+                    key.push_str(m.name());
+                    key.push('@');
+                    key.push_str(m.node().as_str());
                     add_use(
                         &mut drafts,
                         &mut index,
                         NreEntityKind::Module,
-                        format!("{}@{}", m.name(), m.node()),
+                        &key,
                         module_design_cost(node, m.area()),
                         member,
                         *count as f64,
@@ -596,11 +602,14 @@ impl Portfolio {
                 }
                 // D2D interface design, once per node.
                 if chip.is_chiplet() {
+                    key.clear();
+                    key.push_str("d2d@");
+                    key.push_str(chip.node().as_str());
                     add_use(
                         &mut drafts,
                         &mut index,
                         NreEntityKind::D2d,
-                        format!("d2d@{}", chip.node()),
+                        &key,
                         d2d_nre(node),
                         member,
                         *count as f64,
@@ -610,8 +619,13 @@ impl Portfolio {
             // Package design.
             let packaging = lib.packaging(s.integration())?;
             let (pkg_name, silicon_basis) = match s.package_design() {
-                Some(design) => (design.to_string(), design_silicon[design]),
-                None => (format!("pkg:{}", s.name()), s.total_silicon(lib)?),
+                Some(design) => (design, design_silicon[design]),
+                None => {
+                    key.clear();
+                    key.push_str("pkg:");
+                    key.push_str(s.name());
+                    (key.as_str(), s.total_silicon(lib)?)
+                }
             };
             add_use(
                 &mut drafts,
@@ -624,12 +638,21 @@ impl Portfolio {
             )?;
         }
 
+        // Users sum in member *name* order; names are unique, so ranking
+        // them once and sorting by rank is that order without comparing
+        // strings per artifact.
         let names: Vec<String> = self.systems.iter().map(|s| s.name().to_string()).collect();
+        let mut by_name: Vec<usize> = (0..names.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| names[a].cmp(&names[b]));
+        let mut rank = vec![0usize; names.len()];
+        for (r, &member) in by_name.iter().enumerate() {
+            rank[member] = r;
+        }
         let mut member_uses: Vec<Vec<(usize, f64)>> = vec![Vec::new(); names.len()];
         for (e, draft) in drafts.iter_mut().enumerate() {
             draft
                 .users
-                .sort_unstable_by(|a, b| names[a.0].cmp(&names[b.0]));
+                .sort_unstable_by_key(|&(member, _)| rank[member]);
             for &(member, uses) in &draft.users {
                 member_uses[member].push((e, uses));
             }

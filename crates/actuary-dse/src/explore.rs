@@ -384,14 +384,15 @@ impl CellOutcome {
         }
     }
 
-    /// The recorded reason for a cell that was not costed.
-    pub(crate) fn detail(&self) -> String {
+    /// Writes the recorded reason for a cell that was not costed (nothing
+    /// for a feasible cell) into `out`, allocating nothing of its own.
+    pub(crate) fn write_detail<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            CellOutcome::Feasible(_) => String::new(),
-            CellOutcome::Infeasible(reason) => reason.clone(),
-            CellOutcome::Incompatible(reason) => reason.to_string(),
+            CellOutcome::Feasible(_) => Ok(()),
+            CellOutcome::Infeasible(reason) => out.write_str(reason),
+            CellOutcome::Incompatible(reason) => write!(out, "{reason}"),
             CellOutcome::Pruned => {
-                "not evaluated (pruned by coarse-to-fine refinement)".to_string()
+                out.write_str("not evaluated (pruned by coarse-to-fine refinement)")
             }
         }
     }

@@ -99,7 +99,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
@@ -1301,37 +1301,60 @@ impl PortfolioResult {
 
     /// The one grid-row encoding, shared by the batch artifact and the
     /// streamed-segment artifacts so their bytes can never drift apart.
-    fn grid_row(cell: &PortfolioCell) -> [String; 12] {
-        let (per_unit, re_per_unit) = match cell.outcome.candidate() {
-            Some(c) => (
-                format!("{:.6}", c.per_unit.usd()),
-                format!("{:.6}", c.re_per_unit.usd()),
-            ),
-            None => (String::new(), String::new()),
+    ///
+    /// `stored` is the cell's entry in the sparse store; `None` re-derives
+    /// its pruned or incompatible outcome. Refills `row` in place: every
+    /// cell is cleared and rewritten, so the strings keep their capacity
+    /// from row to row and a steady-state row allocates nothing.
+    fn grid_row_into(
+        &self,
+        idx: CellIdx,
+        stored: Option<&CellOutcome>,
+        row: &mut [String; 12],
+    ) -> fmt::Result {
+        let derived;
+        let outcome = match stored {
+            Some(outcome) => outcome,
+            None => {
+                derived = self.unstored_outcome(idx);
+                &derived
+            }
         };
-        [
-            cell.node.clone(),
-            format!("{}", cell.area_mm2),
-            cell.quantity.to_string(),
-            cell.integration.to_string(),
-            cell.chiplets.to_string(),
-            cell.flow.to_string(),
-            cell.scheme.to_string(),
-            cell.scheme_params.clone(),
-            cell.outcome.status().to_string(),
-            per_unit,
-            re_per_unit,
-            cell.outcome.detail(),
-        ]
+        for cell in row.iter_mut() {
+            cell.clear();
+        }
+        let [node, area, quantity, integration, chiplets, flow, scheme, params, status, unit, re_unit, detail] =
+            row;
+        node.push_str(&self.space.nodes[idx.node]);
+        write!(area, "{}", self.space.areas_mm2[idx.area])?;
+        write!(quantity, "{}", self.space.quantities[idx.quantity])?;
+        write!(integration, "{}", self.space.integrations[idx.integration])?;
+        write!(chiplets, "{}", self.space.chiplet_counts[idx.chiplets])?;
+        write!(flow, "{}", self.space.flows[idx.flow])?;
+        write!(scheme, "{}", self.variants[idx.variant].scheme)?;
+        params.push_str(&self.params_labels[idx.variant]);
+        status.push_str(outcome.status());
+        if let Some(c) = outcome.candidate() {
+            write!(unit, "{:.6}", c.per_unit.usd())?;
+            write!(re_unit, "{:.6}", c.re_per_unit.usd())?;
+        }
+        outcome.write_detail(detail)
     }
 
     /// The full grid as a streaming [`Artifact`] named `"grid"`: one row
     /// per cell in grid order, never materialized as one string;
-    /// byte-identical across thread counts.
+    /// byte-identical across thread counts. A cursor walks the sparse
+    /// store and borrows each stored outcome, and every row is encoded
+    /// into one reused buffer, so no row allocates.
     pub fn grid_artifact(&self) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
-            for cell in self.iter_cells() {
-                emit(&Self::grid_row(&cell))?;
+            let shape = self.shape();
+            let mut row = <[String; 12]>::default();
+            let mut stored = self.stored.iter().peekable();
+            for i in 0..self.len {
+                let outcome = stored.next_if(|(stored_i, _)| *stored_i == i);
+                self.grid_row_into(shape.coords(i), outcome.map(|(_, o)| o), &mut row)?;
+                emit(&row)?;
             }
             Ok(())
         })
@@ -1343,7 +1366,7 @@ impl PortfolioResult {
     /// streamed refinement. Indices should be ascending (each segment is
     /// then internally in grid order); indices absent from the sparse
     /// store are emitted with their derived (pruned or incompatible)
-    /// outcome.
+    /// outcome. Rows share one reused buffer, as in the full grid.
     ///
     /// # Panics
     ///
@@ -1351,14 +1374,13 @@ impl PortfolioResult {
     pub fn grid_rows_artifact(&self, indices: Vec<usize>) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
             let shape = self.shape();
+            let mut row = <[String; 12]>::default();
             for i in indices {
                 assert!(i < self.len, "grid row index {i} out of bounds");
-                let outcome = match self.stored.binary_search_by_key(&i, |(k, _)| *k) {
-                    Ok(s) => self.stored[s].1.clone(),
-                    Err(_) => self.unstored_outcome(shape.coords(i)),
-                };
-                let cell = self.cell_at(shape.coords(i), outcome);
-                emit(&Self::grid_row(&cell))?;
+                let outcome = self.stored.binary_search_by_key(&i, |(k, _)| *k).ok();
+                let outcome = outcome.map(|s| &self.stored[s].1);
+                self.grid_row_into(shape.coords(i), outcome, &mut row)?;
+                emit(&row)?;
             }
             Ok(())
         })
@@ -1367,20 +1389,19 @@ impl PortfolioResult {
     /// The grid rows of every cell *absent* from the sparse store — the
     /// pruned and incompatible remainder, in grid order. A streamed
     /// refinement emits this after the per-phase segments: the segments
-    /// plus this artifact's rows cover every grid row exactly once.
+    /// plus this artifact's rows cover every grid row exactly once. Rows
+    /// share one reused buffer, as in the full grid.
     pub fn grid_unstored_artifact(&self) -> Artifact<'_> {
         Artifact::new("grid", "grid", &Self::GRID_COLUMNS, move |emit| {
             let shape = self.shape();
-            let mut cursor = 0usize;
+            let mut row = <[String; 12]>::default();
+            let mut stored = self.stored.iter().peekable();
             for i in 0..self.len {
-                while cursor < self.stored.len() && self.stored[cursor].0 < i {
-                    cursor += 1;
-                }
-                if matches!(self.stored.get(cursor), Some((stored_i, _)) if *stored_i == i) {
+                if stored.next_if(|(stored_i, _)| *stored_i == i).is_some() {
                     continue;
                 }
-                let cell = self.cell_at(shape.coords(i), self.unstored_outcome(shape.coords(i)));
-                emit(&Self::grid_row(&cell))?;
+                self.grid_row_into(shape.coords(i), None, &mut row)?;
+                emit(&row)?;
             }
             Ok(())
         })
@@ -2266,10 +2287,9 @@ mod tests {
             .iter()
             .find(|c| c.chiplets == 3)
             .expect("the grid is dense on read");
-        assert_eq!(
-            dead.outcome.detail(),
-            "SCMS family [1, 2, 4] has no 3-chiplet member"
-        );
+        let mut detail = String::new();
+        dead.outcome.write_detail(&mut detail).unwrap();
+        assert_eq!(detail, "SCMS family [1, 2, 4] has no 3-chiplet member");
     }
 
     #[test]
@@ -2483,6 +2503,77 @@ mod tests {
             .map(|&s| result.pareto_front(s).len())
             .sum();
         assert_eq!(pareto.lines().count(), front_rows + 1);
+    }
+
+    /// The data rows of an artifact's CSV encoding (header dropped).
+    fn csv_rows(artifact: Artifact<'_>) -> Vec<String> {
+        artifact.csv().lines().skip(1).map(str::to_string).collect()
+    }
+
+    #[test]
+    fn grid_emitters_share_one_encoding() {
+        // The full grid, an explicit index list and the stored/unstored
+        // split all encode rows through one buffer-reusing encoder; pin
+        // them to each other on an exhaustive and a pruned refined result.
+        let lib = lib();
+        let space = PortfolioSpace {
+            nodes: vec!["7nm".to_string()],
+            areas_mm2: vec![100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 800.0, 40_000.0],
+            quantities: vec![500_000, 1_000_000, 2_000_000, 4_000_000],
+            integrations: vec![IntegrationKind::Soc, IntegrationKind::Mcm],
+            chiplet_counts: vec![1, 2, 3, 4],
+            flows: vec![AssemblyFlow::ChipLast],
+            schemes: vec![ReuseScheme::None, ReuseScheme::Scms],
+            ..PortfolioSpace::default()
+        };
+        let exhaustive = explore_on(&lib, &space, 1).unwrap();
+        let refine = ExploreRequest {
+            mode: ExploreMode::refine(crate::refine::RefineOptions {
+                area_stride: 4,
+                quantity_stride: 2,
+            }),
+            threads: 1,
+            ..ExploreRequest::default()
+        };
+        let refined = explore(&lib, &space, refine).unwrap();
+        assert_eq!(exhaustive.pruned_count(), 0);
+        assert!(refined.pruned_count() > 0, "the refined run must prune");
+        for result in [exhaustive, refined] {
+            assert!(result.infeasible_count() > 0, "40,000 mm² cannot be built");
+            // One infeasible reason that needs CSV quoting and JSON escaping.
+            let mut stored = result.stored_entries().to_vec();
+            let feasible = stored
+                .iter()
+                .position(|(_, outcome)| outcome.is_feasible())
+                .unwrap();
+            stored[feasible].1 =
+                CellOutcome::Infeasible("die too large, \"quoted\" reason".to_string());
+            let result = PortfolioResult::from_parts(
+                &result.space,
+                result.threads,
+                result.core_evaluations,
+                stored,
+            );
+            let full = result.grid_artifact().csv();
+            assert!(full.contains(",infeasible,,,\"die too large, \"\"quoted\"\" reason\"\n"));
+
+            let every: Vec<usize> = (0..result.len()).collect();
+            assert_eq!(result.grid_rows_artifact(every.clone()).csv(), full);
+            assert_eq!(
+                result.grid_rows_artifact(every).jsonl(),
+                result.grid_artifact().jsonl()
+            );
+
+            let stored_indices: Vec<usize> =
+                result.stored_entries().iter().map(|(i, _)| *i).collect();
+            let mut split = csv_rows(result.grid_rows_artifact(stored_indices));
+            split.extend(csv_rows(result.grid_unstored_artifact()));
+            let mut whole = csv_rows(result.grid_artifact());
+            assert_eq!(split.len(), result.len());
+            split.sort_unstable();
+            whole.sort_unstable();
+            assert_eq!(split, whole);
+        }
     }
 
     #[test]

@@ -68,16 +68,16 @@ impl TechLibrary {
         self.packaging.insert(tech.kind(), tech)
     }
 
-    /// Looks up a process node by id.
+    /// Looks up a process node by id; a hit allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`TechError::UnknownNode`] if the id is not registered.
     pub fn node(&self, id: impl AsRef<str>) -> Result<&ProcessNode, TechError> {
-        let key = NodeId::new(id.as_ref());
-        self.nodes.get(&key).ok_or_else(|| TechError::UnknownNode {
-            id: key.to_string(),
-        })
+        let id = id.as_ref();
+        self.nodes
+            .get(id)
+            .ok_or_else(|| TechError::UnknownNode { id: id.to_string() })
     }
 
     /// Looks up a packaging technology.
@@ -168,6 +168,27 @@ mod tests {
             empty.packaging(IntegrationKind::Mcm),
             Err(TechError::UnknownPackaging { .. })
         ));
+    }
+
+    #[test]
+    fn node_lookup_borrows_the_id() {
+        let lib = TechLibrary::paper_defaults().unwrap();
+        let by_str = lib.node("7nm").unwrap();
+        let by_string = lib.node(String::from("7nm")).unwrap();
+        let id = NodeId::new("7nm");
+        let by_id = lib.node(id.as_str()).unwrap();
+        assert!(std::ptr::eq(by_str, by_string));
+        assert!(std::ptr::eq(by_str, by_id));
+        assert_eq!(by_str.id(), &id);
+        // Lookups stay case-sensitive and the error keeps the asked-for id.
+        match lib.node("7NM") {
+            Err(TechError::UnknownNode { id }) => assert_eq!(id, "7NM"),
+            other => panic!("expected UnknownNode, got {other:?}"),
+        }
+        assert_eq!(
+            lib.node("7NM").unwrap_err().to_string(),
+            "unknown process node: \"7NM\""
+        );
     }
 
     #[test]

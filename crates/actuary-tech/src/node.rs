@@ -1,3 +1,4 @@
+use std::borrow::Borrow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -55,6 +56,15 @@ impl From<String> for NodeId {
 
 impl AsRef<str> for NodeId {
     fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Lets maps keyed by `NodeId` be queried with a plain `&str`, so a lookup
+/// allocates nothing. Sound because the derived `Eq`, `Ord` and `Hash` see
+/// only the one `String` field and so agree with `str`'s.
+impl Borrow<str> for NodeId {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }

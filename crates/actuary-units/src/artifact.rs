@@ -142,27 +142,28 @@ impl<'a> Artifact<'a> {
         if keep.iter().all(|&k| k) {
             return self;
         }
-        let columns = self
+        let columns: Vec<String> = self
             .columns
             .into_iter()
             .zip(&keep)
             .filter_map(|(c, &k)| k.then_some(c))
             .collect();
+        let width = columns.len();
         let rows = self.rows;
         Artifact {
             name: self.name,
             kind: self.kind,
             columns,
             rows: Box::new(move |emit: &mut RowEmit<'_>| {
-                let mut projected: Vec<String> = Vec::with_capacity(keep.len());
+                // One fixed-length buffer for every row: `clone_from` reuses
+                // each cell's capacity, so steady-state rows allocate nothing.
+                let mut projected = vec![String::new(); width];
                 rows(&mut |row: &[String]| {
-                    projected.clear();
-                    projected.extend(
-                        row.iter()
-                            .zip(&keep)
-                            .filter(|(_, &k)| k)
-                            .map(|(cell, _)| cell.clone()),
-                    );
+                    debug_assert_eq!(row.len(), keep.len(), "row width must match the columns");
+                    let kept = row.iter().zip(&keep).filter(|(_, &k)| k);
+                    for (slot, (cell, _)) in projected.iter_mut().zip(kept) {
+                        slot.clone_from(cell);
+                    }
                     emit(&projected)
                 })
             }),

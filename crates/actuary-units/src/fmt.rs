@@ -77,6 +77,10 @@ pub fn csv_escape(field: &str) -> String {
 /// the streaming primitive behind [`write_csv`], so huge documents (a
 /// 10⁶-cell exploration grid) never materialize as one `String`.
 ///
+/// Each field is written straight into the sink with the quoting rules of
+/// [`csv_escape`] (quoted only when it holds `,`, `"`, `\n` or `\r`,
+/// embedded quotes doubled), and nothing is allocated per field.
+///
 /// # Errors
 ///
 /// Propagates the sink's [`std::fmt::Error`] (infallible for `String`).
@@ -98,9 +102,25 @@ pub fn write_csv_row<W: std::fmt::Write + ?Sized, S: AsRef<str>>(
         if i > 0 {
             out.write_char(',')?;
         }
-        out.write_str(&csv_escape(field.as_ref()))?;
+        write_csv_field(out, field.as_ref())?;
     }
     out.write_char('\n')
+}
+
+/// Writes one field as [`csv_escape`] would render it, without building
+/// the escaped copy.
+fn write_csv_field<W: std::fmt::Write + ?Sized>(out: &mut W, field: &str) -> std::fmt::Result {
+    if !field.contains([',', '"', '\n', '\r']) {
+        return out.write_str(field);
+    }
+    out.write_char('"')?;
+    for (i, piece) in field.split('"').enumerate() {
+        if i > 0 {
+            out.write_str("\"\"")?;
+        }
+        out.write_str(piece)?;
+    }
+    out.write_char('"')
 }
 
 /// Serializes records as RFC-4180 CSV text with `\n` line endings.
@@ -127,6 +147,7 @@ pub fn write_csv(records: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn thousands_separator_groups_of_three() {
@@ -162,5 +183,44 @@ mod tests {
         assert_eq!(csv_escape("with\nnewline"), "\"with\nnewline\"");
         assert_eq!(csv_escape("with\rreturn"), "\"with\rreturn\"");
         assert_eq!(csv_escape("q\"uote"), "\"q\"\"uote\"");
+    }
+
+    /// The pieces random CSV fields are concatenated from: every character
+    /// that forces quoting, the empty string, and non-ASCII text.
+    const PIECES: [&str; 10] = [
+        ",",
+        "\"",
+        "\r",
+        "\n",
+        "",
+        "plain",
+        "é",
+        "日本語",
+        "a b",
+        "\"\"",
+    ];
+
+    fn record_from(picks: &[Vec<usize>]) -> Vec<String> {
+        picks
+            .iter()
+            .map(|field| field.iter().map(|&p| PIECES[p]).collect())
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_rows_match_the_escaped_reference(
+            picks in proptest::collection::vec(
+                proptest::collection::vec(0usize..PIECES.len(), 0..6),
+                1..8,
+            )
+        ) {
+            let record = record_from(&picks);
+            let reference: Vec<String> = record.iter().map(|f| csv_escape(f)).collect();
+            let reference = format!("{}\n", reference.join(","));
+            let mut streamed = String::new();
+            write_csv_row(&mut streamed, &record).unwrap();
+            prop_assert_eq!(streamed, reference);
+        }
     }
 }

@@ -589,17 +589,6 @@ fn cmd_explore(lib: &TechLibrary, flags: &BTreeMap<String, String>) -> Result<()
             s.parse()
                 .map_err(|e| format!("invalid quantity {s:?}: {e}"))
         })?;
-        // Quantity axes feed ordered-axis machinery (amortization curves,
-        // coarse-to-fine refinement), so an unordered list is a mistake
-        // worth naming here rather than deep in the engine.
-        for pair in space.quantities.windows(2) {
-            if pair[1] <= pair[0] {
-                return Err(format!(
-                    "--quantities must be strictly increasing ({} follows {})",
-                    pair[1], pair[0]
-                ));
-            }
-        }
     }
     if let Some(raw) = flags.get("integrations") {
         space.integrations = parse_list(raw, "integrations", parse_integration)?;

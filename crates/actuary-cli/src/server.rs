@@ -72,7 +72,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use actuary_dse::explore::ExploreMode;
-use actuary_dse::portfolio::SharedCoreCache;
+use actuary_dse::portfolio::{CorePolicy, SharedCoreCache};
 use actuary_obs::clock::{self, Stopwatch, Tick};
 use actuary_obs::log::{self, Format, Level, RateLimited};
 use actuary_obs::metrics::{LATENCY_SECONDS, SIZE_BYTES};
@@ -1113,8 +1113,19 @@ fn respond_metricsz<S: Write>(stream: &mut S, state: &ServerState, keep: bool) -
 /// Parses, runs (or replays from cache) and chunk-streams one scenario
 /// document. Reports the answered status and whether the connection is
 /// still usable. `query` selects delivery: `stream=refine` switches to
-/// incremental delivery through [`respond_run_streamed`]; any other
+/// incremental delivery through an [`HttpStreamSink`]; any other
 /// non-empty query is rejected, not ignored.
+///
+/// Streamed delivery sends the `200` head *before* the engine runs, and
+/// flushes every artifact segment as its own chunk batch the moment the
+/// runner delivers it — a refine-mode grid's coarse segment reaches the
+/// client while bisection is still running. The price of immediacy is
+/// the error contract: an engine failure after the head cannot change the
+/// status, so it truncates the chunked body instead (no terminal
+/// `0\r\n\r\n` chunk) and drops the connection. All *schema-level*
+/// rejections (parse errors, grid bounds, unknown query) still answer 4xx
+/// because they are checked before the head. A batch engine failure
+/// answers 422.
 fn respond_run<S: Write>(
     stream: &mut S,
     request: &Request,
@@ -1174,12 +1185,10 @@ fn respond_run<S: Write>(
     // run cannot deliver phases incrementally — but still stores its
     // completed run for later batch requests.
     let digest = digest_document(&doc);
+    let json = request.accept_json;
     if !streamed {
         if let Some(run) = state.results.get(digest.bytes()) {
-            return Reply::new(
-                200,
-                stream_artifacts(stream, &run, request.accept_json, keep),
-            );
+            return Reply::new(200, stream_artifacts(stream, &run, json, keep));
         }
     }
     let scenario = match Scenario::from_doc(&doc) {
@@ -1204,18 +1213,24 @@ fn respond_run<S: Write>(
         );
     }
     let tag = library_digest(&doc).bytes();
+    let cores = CorePolicy::Shared {
+        cache: &state.cores,
+        tag,
+    };
     if streamed {
-        return respond_run_streamed(
-            stream,
-            &scenario,
-            digest.bytes(),
-            tag,
-            state,
-            request.accept_json,
-            keep,
-        );
+        let Some(chunked) = open_chunked(stream, json, keep) else {
+            return Reply::new(200, false);
+        };
+        let mut sink = HttpStreamSink { chunked, json };
+        return match scenario.run_with(state.engine_threads, cores, Some(&mut sink)) {
+            Ok(run) => {
+                state.results.put(digest.bytes(), Arc::new(run));
+                Reply::new(200, sink.chunked.finish().is_ok())
+            }
+            Err(_) => Reply::new(200, false),
+        };
     }
-    let run = match scenario.run_shared(state.engine_threads, &state.cores, tag) {
+    let run = match scenario.run_with(state.engine_threads, cores, None) {
         Ok(run) => Arc::new(run),
         Err(e) => {
             return Reply::new(
@@ -1231,55 +1246,7 @@ fn respond_run<S: Write>(
         }
     };
     state.results.put(digest.bytes(), Arc::clone(&run));
-    Reply::new(
-        200,
-        stream_artifacts(stream, &run, request.accept_json, keep),
-    )
-}
-
-/// Answers `?stream=refine`: the `200` head goes out *before* the engine
-/// runs, and every artifact segment is flushed as its own chunk batch the
-/// moment the runner delivers it — a refine-mode grid's coarse segment
-/// reaches the client while bisection is still running. The price of
-/// immediacy is the error contract: an engine failure after the head
-/// cannot change the status, so it truncates the chunked body instead
-/// (no terminal `0\r\n\r\n` chunk) and drops the connection. All
-/// *schema-level* rejections (parse errors, grid bounds, unknown query)
-/// still answer 4xx because they are checked before the head.
-#[allow(clippy::too_many_arguments)]
-fn respond_run_streamed<S: Write>(
-    stream: &mut S,
-    scenario: &Scenario,
-    digest: [u8; 32],
-    tag: [u8; 32],
-    state: &ServerState,
-    json: bool,
-    keep: bool,
-) -> Reply {
-    let content_type = if json {
-        "application/jsonl; charset=utf-8"
-    } else {
-        "text/csv; charset=utf-8"
-    };
-    let connection = if keep { "keep-alive" } else { "close" };
-    let head = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
-         Transfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n"
-    );
-    if stream.write_all(head.as_bytes()).is_err() {
-        return Reply::new(200, false);
-    }
-    let mut sink = HttpStreamSink {
-        chunked: ChunkedWriter::new(stream),
-        json,
-    };
-    match scenario.run_streamed_shared(state.engine_threads, &state.cores, tag, &mut sink) {
-        Ok(run) => {
-            state.results.put(digest, Arc::new(run));
-            Reply::new(200, sink.chunked.finish().is_ok())
-        }
-        Err(_) => Reply::new(200, false),
-    }
+    Reply::new(200, stream_artifacts(stream, &run, json, keep))
 }
 
 /// Adapts the HTTP chunk stream to the scenario runner's [`StreamSink`]:
@@ -1305,27 +1272,33 @@ impl<S: Write> StreamSink for HttpStreamSink<'_, S> {
     }
 }
 
-/// Chunk-streams every artifact of a run in the chosen encoding. Returns
-/// whether the connection is still usable — a mid-stream write failure
-/// breaks the chunked framing, so the caller must close.
-fn stream_artifacts<S: Write>(stream: &mut S, run: &ScenarioRun, json: bool, keep: bool) -> bool {
+/// Writes the chunked `200` head of a `/run` answer in the chosen
+/// encoding and opens its body; `None` when the client is gone.
+fn open_chunked<S: Write>(stream: &mut S, json: bool, keep: bool) -> Option<ChunkedWriter<&mut S>> {
     let content_type = if json {
         "application/jsonl; charset=utf-8"
     } else {
         "text/csv; charset=utf-8"
     };
     let connection = if keep { "keep-alive" } else { "close" };
-    // All model work is done; from here on only serialization can fail,
-    // and a dropped client simply truncates the chunk stream (the missing
-    // terminal chunk marks the body incomplete).
     let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\n\
          Transfer-Encoding: chunked\r\nConnection: {connection}\r\n\r\n"
     );
-    if stream.write_all(head.as_bytes()).is_err() {
+    stream.write_all(head.as_bytes()).ok()?;
+    Some(ChunkedWriter::new(stream))
+}
+
+/// Chunk-streams every artifact of a run in the chosen encoding. Returns
+/// whether the connection is still usable — a mid-stream write failure
+/// breaks the chunked framing, so the caller must close.
+fn stream_artifacts<S: Write>(stream: &mut S, run: &ScenarioRun, json: bool, keep: bool) -> bool {
+    // All model work is done; from here on only serialization can fail,
+    // and a dropped client simply truncates the chunk stream (the missing
+    // terminal chunk marks the body incomplete).
+    let Some(mut chunked) = open_chunked(stream, json, keep) else {
         return false;
-    }
-    let mut chunked = ChunkedWriter::new(stream);
+    };
     {
         let mut sink = IoSink::new(&mut chunked);
         for artifact in run.artifacts() {

@@ -186,9 +186,10 @@ impl Default for ExploreRequest<'_> {
 /// # Errors
 ///
 /// Returns [`ArchError::InvalidArchitecture`] for an invalid space (any
-/// empty axis, a zero chiplet count, malformed scheme parameters) or —
-/// in refine mode — an area or quantity axis that is not strictly
-/// increasing or an observer that declines to continue,
+/// empty axis, a zero quantity or chiplet count, a quantity axis that is
+/// not strictly increasing, malformed scheme parameters) or — in refine
+/// mode — an area axis that is not strictly increasing or an observer
+/// that declines to continue,
 /// [`ArchError::Tech`] for an unknown node id, and propagates unexpected
 /// engine errors. Per-cell geometric infeasibility and axis
 /// contradictions are *not* errors — they are recorded in the cell's

@@ -358,7 +358,8 @@ impl PortfolioSpace {
     }
 
     /// Validates every axis independently (an empty axis must error, not
-    /// silently collapse the grid) plus the scheme family parameters.
+    /// silently collapse the grid, and the quantity axis must be strictly
+    /// increasing) plus the scheme family parameters.
     ///
     /// # Errors
     ///
@@ -397,6 +398,17 @@ impl PortfolioSpace {
         if self.quantities.contains(&0) {
             return Err(ArchError::InvalidArchitecture {
                 reason: "production quantity must be at least 1, got 0".to_string(),
+            });
+        }
+        // The quantity axis is walked as an ordered axis in both modes
+        // (refinement bisects it; winner tables and fronts read it in
+        // order), so an unordered or repeated list is always a mistake.
+        if let Some(w) = self.quantities.windows(2).find(|w| w[1] <= w[0]) {
+            return Err(ArchError::InvalidArchitecture {
+                reason: format!(
+                    "exploration space needs strictly increasing quantities ({} follows {})",
+                    w[1], w[0]
+                ),
             });
         }
         if self.chiplet_counts.contains(&0) {
@@ -2128,6 +2140,33 @@ mod tests {
                 err.to_string().contains("quantity must be at least 1"),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn unordered_quantities_are_rejected_in_every_mode() {
+        // Both walks read the quantity axis in order; `validate` is the
+        // one site that checks it, for the exhaustive walk as for refine.
+        for (quantities, pair) in [
+            (vec![10_000_000, 500_000], "500000 follows 10000000"),
+            (vec![500_000, 500_000], "500000 follows 500000"),
+        ] {
+            let space = PortfolioSpace {
+                quantities,
+                ..small_space()
+            };
+            for mode in [ExploreMode::Exhaustive, "refine".parse().unwrap()] {
+                let request = ExploreRequest {
+                    mode,
+                    threads: 1,
+                    ..ExploreRequest::default()
+                };
+                let err = explore(&lib(), &space, request).unwrap_err().to_string();
+                assert!(
+                    err.contains("strictly increasing quantities") && err.contains(pair),
+                    "{err}"
+                );
+            }
         }
     }
 

@@ -702,10 +702,11 @@ fn auto_stride(len: usize) -> usize {
 ///
 /// # Errors
 ///
-/// [`ArchError::InvalidArchitecture`] when the area or quantity axis is
-/// not strictly increasing (refinement bisects gaps along both, so the
-/// axes must be ordered) or the observer declines to continue, plus
-/// whatever the exhaustive sub-runs raise.
+/// [`ArchError::InvalidArchitecture`] when the area axis is not strictly
+/// increasing (refinement bisects gaps along it, so it must be ordered;
+/// [`PortfolioSpace::validate`] already orders the quantity axis) or the
+/// observer declines to continue, plus whatever the exhaustive sub-runs
+/// raise.
 pub(crate) fn refine(
     lib: &TechLibrary,
     space: &PortfolioSpace,
@@ -717,12 +718,6 @@ pub(crate) fn refine(
     if !space.areas_mm2.windows(2).all(|w| w[0] < w[1]) {
         return Err(ArchError::InvalidArchitecture {
             reason: "coarse-to-fine refinement requires a strictly increasing areas_mm2 axis"
-                .to_string(),
-        });
-    }
-    if !space.quantities.windows(2).all(|w| w[0] < w[1]) {
-        return Err(ArchError::InvalidArchitecture {
-            reason: "coarse-to-fine refinement requires a strictly increasing quantities axis"
                 .to_string(),
         });
     }

@@ -12,9 +12,8 @@ use actuary_arch::{ArchError, Chip, Module, Portfolio, System};
 use actuary_dse::explore::{explore, ExploreMode, ExploreRequest};
 use actuary_dse::optimizer::candidate_core;
 use actuary_dse::portfolio::{
-    parse_fsmc_situation, CorePolicy, PortfolioResult, PortfolioSpace, ReuseScheme, SharedCoreCache,
+    parse_fsmc_situation, CorePolicy, PortfolioResult, PortfolioSpace, ReuseScheme,
 };
-use actuary_dse::refine::RefineObserver;
 use actuary_dse::sweep::{sweep_area, sweep_quantity, Sweep};
 use actuary_model::{re_cost, AssemblyFlow, DiePlacement};
 use actuary_tech::{IntegrationKind, NodeId, TechLibrary};
@@ -23,7 +22,7 @@ use actuary_units::{Area, Artifact, Quantity};
 use crate::error::ScenarioError;
 use crate::schema::{elem_f64, elem_str, elem_u32, elem_u64, Spanned, View};
 use crate::tech::{library_to_scenario, lower_library, parse_kind};
-use crate::toml::{parse, Pos, Table};
+use crate::toml::{parse, Pos, Table, Value};
 
 /// A fully lowered scenario: a technology library plus the jobs to run.
 #[derive(Debug)]
@@ -35,7 +34,7 @@ pub struct Scenario {
     /// The technology library (presets plus overlays).
     pub library: TechLibrary,
     /// The jobs, in file order per kind (portfolio, then yield, then
-    /// explore).
+    /// sweep, then explore).
     pub jobs: Vec<Job>,
 }
 
@@ -274,6 +273,19 @@ pub struct ExploreRun {
     pub result: PortfolioResult,
 }
 
+impl ExploreRun {
+    /// One selected surface as an [`Artifact`] named `<job>-<output>`.
+    fn artifact(&self, output: ExploreOutput) -> Artifact<'_> {
+        let artifact = match output {
+            ExploreOutput::Grid => self.result.grid_artifact(),
+            ExploreOutput::Winners => self.result.winners_artifact(),
+            ExploreOutput::Pareto => self.result.pareto_artifact(),
+            ExploreOutput::ParetoProgram => self.result.pareto_program_artifact(),
+        };
+        artifact.named(format!("{}-{}", self.name, output.label()))
+    }
+}
+
 /// An executed sweep job.
 #[derive(Debug)]
 pub struct SweepRun {
@@ -281,6 +293,13 @@ pub struct SweepRun {
     pub name: String,
     /// The sampled sweep.
     pub sweep: Sweep,
+}
+
+impl SweepRun {
+    /// The sweep as an [`Artifact`] named `<job>-sweep`.
+    fn artifact(&self) -> Artifact<'_> {
+        self.sweep.artifact(format!("{}-sweep", self.name))
+    }
 }
 
 /// Everything a scenario run produced.
@@ -315,19 +334,9 @@ impl ScenarioRun {
             out.push(self.yields_artifact());
         }
         for explore in &self.explores {
-            for output in &explore.outputs {
-                let artifact = match output {
-                    ExploreOutput::Grid => explore.result.grid_artifact(),
-                    ExploreOutput::Winners => explore.result.winners_artifact(),
-                    ExploreOutput::Pareto => explore.result.pareto_artifact(),
-                    ExploreOutput::ParetoProgram => explore.result.pareto_program_artifact(),
-                };
-                out.push(artifact.named(format!("{}-{}", explore.name, output.label())));
-            }
+            out.extend(explore.outputs.iter().map(|&o| explore.artifact(o)));
         }
-        for s in &self.sweeps {
-            out.push(s.sweep.artifact(format!("{}-sweep", s.name)));
-        }
+        out.extend(self.sweeps.iter().map(SweepRun::artifact));
         out
     }
 
@@ -481,31 +490,43 @@ impl Scenario {
     ///
     /// Returns [`ScenarioError::Engine`] naming the failing job.
     pub fn run(&self, threads: usize) -> Result<ScenarioRun, ScenarioError> {
-        self.run_impl(threads, CorePolicy::Cached)
+        self.run_with(threads, CorePolicy::Cached, None)
     }
 
-    /// [`Scenario::run`] with explore-job cores reused *across runs*
-    /// through `cache`. `tag` must fingerprint the technology library this
+    /// [`Scenario::run`] with explore-job cores shared as `cores` directs
+    /// and, when `sink` is given, incremental delivery.
+    ///
+    /// [`CorePolicy::Shared`] reuses cores *across runs* through its
+    /// cache. Its `tag` must fingerprint the technology library this
     /// scenario lowered — use [`crate::canon::library_digest`] over the
     /// same document — so scenarios with different library overrides never
-    /// share cores. Output is byte-identical to [`Scenario::run`].
+    /// share cores. Output is byte-identical under every policy.
+    ///
+    /// With a sink, every artifact is handed to it as soon as it is
+    /// complete, and refine-mode explore jobs that emit the grid stream it
+    /// *segment by segment* as refinement phases finish — the coarse
+    /// segment goes out while bisection is still running — instead of
+    /// holding the table back until the whole scenario returns. Delivery
+    /// order: the cost table, the yield table, then each explore job (a
+    /// streamed grid's segments first, then the job's remaining surfaces
+    /// in selected order), then the sweeps. Within a streamed grid every
+    /// segment is internally grid-ordered and every cell appears in
+    /// exactly one segment, so re-sorting the concatenated rows by grid
+    /// coordinates reproduces the batch grid byte for byte. Without a sink
+    /// no refinement phase observer is installed.
+    ///
+    /// The full [`ScenarioRun`] is returned either way, so callers can
+    /// cache or re-render it.
     ///
     /// # Errors
     ///
-    /// See [`Scenario::run`].
-    pub fn run_shared(
-        &self,
-        threads: usize,
-        cache: &SharedCoreCache,
-        tag: [u8; 32],
-    ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_impl(threads, CorePolicy::Shared { cache, tag })
-    }
-
-    fn run_impl(
+    /// Returns [`ScenarioError::Engine`] naming the failing job, or the job
+    /// whose delivery the sink declined.
+    pub fn run_with(
         &self,
         threads: usize,
         cores: CorePolicy<'_>,
+        mut sink: Option<&mut dyn StreamSink>,
     ) -> Result<ScenarioRun, ScenarioError> {
         let mut run = ScenarioRun {
             name: self.name.clone(),
@@ -513,133 +534,10 @@ impl Scenario {
             yield_rows: Vec::new(),
             explores: Vec::new(),
             sweeps: Vec::new(),
-        };
-        let engine = |job: &str, e: &dyn fmt::Display| ScenarioError::Engine {
-            context: job.to_string(),
-            message: e.to_string(),
-        };
-        for job in &self.jobs {
-            match job {
-                Job::Cost(j) => {
-                    let _span = actuary_obs::span!("scenario.cost");
-                    let cost = j
-                        .portfolio
-                        .cost(&self.library, j.flow)
-                        .map_err(|e| engine(&j.name, &e))?;
-                    for sc in cost.systems() {
-                        let nre = sc.nre_per_unit();
-                        run.cost_rows.push(CostRow {
-                            job: j.name.clone(),
-                            system: sc.name().to_string(),
-                            quantity: sc.quantity().count(),
-                            re_usd: sc.re().total().usd(),
-                            re_packaging_usd: sc.re().packaging_total().usd(),
-                            nre_modules_usd: nre.modules.usd(),
-                            nre_chips_usd: nre.chips.usd(),
-                            nre_packages_usd: nre.packages.usd(),
-                            nre_d2d_usd: nre.d2d.usd(),
-                            per_unit_usd: sc.per_unit_total().usd(),
-                        });
-                    }
-                }
-                Job::Yield(j) => {
-                    let _span = actuary_obs::span!("scenario.yield");
-                    run_yield_job(&self.library, j, &mut run.yield_rows)
-                        .map_err(|e| engine(&j.name, &e))?;
-                }
-                Job::Sweep(j) => {
-                    let _span = actuary_obs::span!("scenario.sweep");
-                    let sweep = run_sweep_job(&self.library, j).map_err(|e| engine(&j.name, &e))?;
-                    run.sweeps.push(SweepRun {
-                        name: j.name.clone(),
-                        sweep,
-                    });
-                }
-                Job::Explore(j) => {
-                    let result = run_explore_job(&self.library, threads, cores, j, None)
-                        .map_err(|e| engine(&j.name, &e))?;
-                    run.explores.push(ExploreRun {
-                        name: j.name.clone(),
-                        outputs: j.outputs.clone(),
-                        result,
-                    });
-                }
-            }
-        }
-        Ok(run)
-    }
-
-    /// [`Scenario::run`] with incremental delivery: every artifact is
-    /// handed to `sink` as soon as it is complete, and refine-mode explore
-    /// jobs that emit the grid stream it *segment by segment* as
-    /// refinement phases finish — the coarse segment goes out while
-    /// bisection is still running — instead of holding the table back
-    /// until the whole scenario returns.
-    ///
-    /// Delivery order: the cost table, the yield table, then each explore
-    /// job (a streamed grid's segments first, then the job's remaining
-    /// surfaces in selected order), then the sweeps. Within a streamed
-    /// grid every segment is internally grid-ordered and every cell
-    /// appears in exactly one segment, so re-sorting the concatenated
-    /// rows by grid coordinates reproduces the batch grid byte for byte.
-    ///
-    /// The full [`ScenarioRun`] is still returned, so callers can cache
-    /// or re-render it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run`]; additionally returns
-    /// [`ScenarioError::Engine`] naming the job whose delivery the sink
-    /// declined.
-    pub fn run_streamed(
-        &self,
-        threads: usize,
-        sink: &mut dyn StreamSink,
-    ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_streamed_impl(threads, CorePolicy::Cached, sink)
-    }
-
-    /// [`Scenario::run_streamed`] with explore-job cores reused across
-    /// runs through `cache`; see [`Scenario::run_shared`] for the `tag`
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_streamed`].
-    pub fn run_streamed_shared(
-        &self,
-        threads: usize,
-        cache: &SharedCoreCache,
-        tag: [u8; 32],
-        sink: &mut dyn StreamSink,
-    ) -> Result<ScenarioRun, ScenarioError> {
-        self.run_streamed_impl(threads, CorePolicy::Shared { cache, tag }, sink)
-    }
-
-    fn run_streamed_impl(
-        &self,
-        threads: usize,
-        cores: CorePolicy<'_>,
-        sink: &mut dyn StreamSink,
-    ) -> Result<ScenarioRun, ScenarioError> {
-        let engine = |job: &str, e: &dyn fmt::Display| ScenarioError::Engine {
-            context: job.to_string(),
-            message: e.to_string(),
-        };
-        let abort = |job: &str| ScenarioError::Engine {
-            context: job.to_string(),
-            message: "the stream sink declined to continue".to_string(),
         };
         // Non-explore jobs first (the lowering already groups them ahead
         // of [explore]), so the cost and yield tables are complete — and
         // on the wire — before the first long-running grid starts.
-        let mut run = ScenarioRun {
-            name: self.name.clone(),
-            cost_rows: Vec::new(),
-            yield_rows: Vec::new(),
-            explores: Vec::new(),
-            sweeps: Vec::new(),
-        };
         for job in &self.jobs {
             match job {
                 Job::Cost(j) => {
@@ -647,7 +545,7 @@ impl Scenario {
                     let cost = j
                         .portfolio
                         .cost(&self.library, j.flow)
-                        .map_err(|e| engine(&j.name, &e))?;
+                        .map_err(|e| engine_error(&j.name, e))?;
                     for sc in cost.systems() {
                         let nre = sc.nre_per_unit();
                         run.cost_rows.push(CostRow {
@@ -667,11 +565,12 @@ impl Scenario {
                 Job::Yield(j) => {
                     let _span = actuary_obs::span!("scenario.yield");
                     run_yield_job(&self.library, j, &mut run.yield_rows)
-                        .map_err(|e| engine(&j.name, &e))?;
+                        .map_err(|e| engine_error(&j.name, e))?;
                 }
                 Job::Sweep(j) => {
                     let _span = actuary_obs::span!("scenario.sweep");
-                    let sweep = run_sweep_job(&self.library, j).map_err(|e| engine(&j.name, &e))?;
+                    let sweep =
+                        run_sweep_job(&self.library, j).map_err(|e| engine_error(&j.name, e))?;
                     run.sweeps.push(SweepRun {
                         name: j.name.clone(),
                         sweep,
@@ -680,107 +579,130 @@ impl Scenario {
                 Job::Explore(_) => {}
             }
         }
-        if !run.cost_rows.is_empty() && !sink.segment(run.costs_artifact(), false) {
-            return Err(abort("costs"));
-        }
-        if !run.yield_rows.is_empty() && !sink.segment(run.yields_artifact(), false) {
-            return Err(abort("yields"));
+        if let Some(sink) = sink.as_deref_mut() {
+            if !run.cost_rows.is_empty() {
+                deliver(sink, "costs", run.costs_artifact(), false)?;
+            }
+            if !run.yield_rows.is_empty() {
+                deliver(sink, "yields", run.yields_artifact(), false)?;
+            }
         }
         for job in &self.jobs {
-            let Job::Explore(j) = job else {
-                continue;
-            };
-            let streams_grid = matches!(j.mode, ExploreMode::Refine { .. })
-                && j.outputs.contains(&ExploreOutput::Grid);
-            let result = if streams_grid {
-                let grid_name = format!("{}-grid", j.name);
-                let mut first = true;
-                let mut delivered = true;
-                let mut observer = |_phase, snapshot: &PortfolioResult, fresh: &[usize]| {
-                    let segment = snapshot
-                        .grid_rows_artifact(fresh.to_vec())
-                        .named(grid_name.clone());
-                    delivered = sink.segment(segment, !first);
-                    first = false;
-                    delivered
-                };
-                let result = run_explore_job(&self.library, threads, cores, j, Some(&mut observer));
-                if !delivered {
-                    return Err(abort(&j.name));
-                }
-                let result = result.map_err(|e| engine(&j.name, &e))?;
-                // The evaluated cells all went out with the phases above;
-                // the pruned/incompatible residual completes the table.
-                if !sink.segment(result.grid_unstored_artifact().named(grid_name), true) {
-                    return Err(abort(&j.name));
-                }
-                result
-            } else {
-                run_explore_job(&self.library, threads, cores, j, None)
-                    .map_err(|e| engine(&j.name, &e))?
-            };
-            for output in &j.outputs {
-                if streams_grid && *output == ExploreOutput::Grid {
-                    continue;
-                }
-                let artifact = match output {
-                    ExploreOutput::Grid => result.grid_artifact(),
-                    ExploreOutput::Winners => result.winners_artifact(),
-                    ExploreOutput::Pareto => result.pareto_artifact(),
-                    ExploreOutput::ParetoProgram => result.pareto_program_artifact(),
-                };
-                if !sink.segment(
-                    artifact.named(format!("{}-{}", j.name, output.label())),
-                    false,
-                ) {
-                    return Err(abort(&j.name));
-                }
+            if let Job::Explore(j) = job {
+                let explore =
+                    run_explore_job(&self.library, threads, cores, j, sink.as_deref_mut())?;
+                run.explores.push(explore);
             }
-            run.explores.push(ExploreRun {
-                name: j.name.clone(),
-                outputs: j.outputs.clone(),
-                result,
-            });
         }
-        for s in &run.sweeps {
-            if !sink.segment(s.sweep.artifact(format!("{}-sweep", s.name)), false) {
-                return Err(abort(&s.name));
+        if let Some(sink) = sink {
+            for s in &run.sweeps {
+                deliver(sink, &s.name, s.artifact(), false)?;
             }
         }
         Ok(run)
     }
 }
 
-/// Runs one explore job through the exploration entry point, threading
-/// the core policy and — for refine mode — the optional phase observer:
-/// the single dispatch [`Scenario::run`] and [`Scenario::run_streamed`]
-/// both go through.
-fn run_explore_job<'r>(
-    library: &TechLibrary,
-    threads: usize,
-    cores: CorePolicy<'r>,
-    j: &ExploreJob,
-    observer: Option<&'r mut RefineObserver<'r>>,
-) -> Result<PortfolioResult, ArchError> {
-    let mut span = actuary_obs::span!("scenario.explore");
-    span.record("cells", j.space.len() as u64);
-    let mode = match &j.mode {
-        ExploreMode::Exhaustive => ExploreMode::Exhaustive,
-        ExploreMode::Refine { strides, .. } => ExploreMode::Refine {
-            strides: *strides,
-            observer,
-        },
-    };
-    let request = ExploreRequest {
-        mode,
-        threads,
-        cores,
-    };
-    explore(library, &j.space, request)
+/// An engine failure of the job named `job`.
+fn engine_error(job: &str, e: impl fmt::Display) -> ScenarioError {
+    ScenarioError::Engine {
+        context: job.to_string(),
+        message: e.to_string(),
+    }
 }
 
-/// The incremental consumer [`Scenario::run_streamed`] delivers to: one
-/// call per artifact segment, in emission order. A segment with
+/// Hands one artifact segment to `sink`; a declined delivery aborts the
+/// run with an engine error naming `job`.
+fn deliver(
+    sink: &mut dyn StreamSink,
+    job: &str,
+    artifact: Artifact<'_>,
+    continuation: bool,
+) -> Result<(), ScenarioError> {
+    if sink.segment(artifact, continuation) {
+        Ok(())
+    } else {
+        Err(declined(job))
+    }
+}
+
+/// The error of a run whose sink declined a segment of job `job`.
+fn declined(job: &str) -> ScenarioError {
+    engine_error(job, "the stream sink declined to continue")
+}
+
+/// Runs one explore job through the exploration entry point under
+/// `cores`, delivering its selected surfaces to `sink` when there is one.
+/// Only a refine-mode job that emits the grid, run with a sink, installs a
+/// phase observer: it streams the grid segment by segment as refinement
+/// phases finish.
+fn run_explore_job(
+    library: &TechLibrary,
+    threads: usize,
+    cores: CorePolicy<'_>,
+    j: &ExploreJob,
+    mut sink: Option<&mut (dyn StreamSink + '_)>,
+) -> Result<ExploreRun, ScenarioError> {
+    let streams_grid = sink.is_some()
+        && matches!(j.mode, ExploreMode::Refine { .. })
+        && j.outputs.contains(&ExploreOutput::Grid);
+    let grid_name = format!("{}-{}", j.name, ExploreOutput::Grid.label());
+    let (mut first, mut delivered) = (true, true);
+    let mut observer;
+    let mode = match (&j.mode, sink.as_deref_mut()) {
+        (ExploreMode::Exhaustive, _) => ExploreMode::Exhaustive,
+        (ExploreMode::Refine { strides, .. }, Some(sink)) if streams_grid => {
+            observer = |_phase, snapshot: &PortfolioResult, fresh: &[usize]| {
+                let segment = snapshot
+                    .grid_rows_artifact(fresh.to_vec())
+                    .named(grid_name.clone());
+                delivered = sink.segment(segment, !first);
+                first = false;
+                delivered
+            };
+            ExploreMode::Refine {
+                strides: *strides,
+                observer: Some(&mut observer),
+            }
+        }
+        (ExploreMode::Refine { strides, .. }, _) => ExploreMode::refine(*strides),
+    };
+    let result = {
+        let mut span = actuary_obs::span!("scenario.explore");
+        span.record("cells", j.space.len() as u64);
+        let request = ExploreRequest {
+            mode,
+            threads,
+            cores,
+        };
+        explore(library, &j.space, request)
+    };
+    if !delivered {
+        return Err(declined(&j.name));
+    }
+    let run = ExploreRun {
+        name: j.name.clone(),
+        outputs: j.outputs.clone(),
+        result: result.map_err(|e| engine_error(&j.name, e))?,
+    };
+    if let Some(sink) = sink {
+        if streams_grid {
+            // The evaluated cells all went out with the phases above; the
+            // pruned/incompatible residual completes the table.
+            let residual = run.result.grid_unstored_artifact().named(grid_name);
+            deliver(sink, &j.name, residual, true)?;
+        }
+        for &output in &run.outputs {
+            if !(streams_grid && output == ExploreOutput::Grid) {
+                deliver(sink, &j.name, run.artifact(output), false)?;
+            }
+        }
+    }
+    Ok(run)
+}
+
+/// The incremental consumer [`Scenario::run_with`] delivers to: one call
+/// per artifact segment, in emission order. A segment with
 /// `continuation = false` opens a new artifact (its serialization carries
 /// the header or metadata line); `continuation = true` extends the
 /// previously opened artifact of the same name with more rows (serialize
@@ -860,6 +782,14 @@ fn parse_flow(s: Spanned<&str>) -> Result<AssemblyFlow, ScenarioError> {
 
 fn area_mm2(v: Spanned<f64>) -> Result<Area, ScenarioError> {
     Area::from_mm2(v.value).map_err(|e| ScenarioError::schema(v.pos, e.to_string()))
+}
+
+/// One element of an `areas_mm2` axis, rejected at its position unless it
+/// is a valid area.
+fn elem_area(v: &Value, p: Pos) -> Result<f64, ScenarioError> {
+    let mm2 = elem_f64(v, p, "an area")?;
+    Area::from_mm2(mm2).map_err(|e| ScenarioError::schema(p, e.to_string()))?;
+    Ok(mm2)
 }
 
 /// Lowers one `[[portfolio]]` table into a [`CostJob`].
@@ -1088,7 +1018,7 @@ fn lower_yield_job(table: &Table, lib: &TechLibrary) -> Result<YieldJob, Scenari
             }
         }
     })?;
-    let areas_mm2 = view.req_array("areas_mm2", |v, p| elem_f64(v, p, "an area"))?;
+    let areas_mm2 = view.req_array("areas_mm2", elem_area)?;
     view.deny_unknown()?;
     if techs.is_empty() || areas_mm2.is_empty() {
         return Err(ScenarioError::schema(
@@ -1180,11 +1110,7 @@ fn lower_sweep_job(table: &Table, lib: &TechLibrary) -> Result<SweepJob, Scenari
         }
         integrations.push(kind);
     }
-    let areas_mm2 = view.opt_array("areas_mm2", |v, p| {
-        let mm2 = elem_f64(v, p, "an area")?;
-        Area::from_mm2(mm2).map_err(|e| ScenarioError::schema(p, e.to_string()))?;
-        Ok(mm2)
-    })?;
+    let areas_mm2 = view.opt_array("areas_mm2", elem_area)?;
     let quantities = view
         .opt_array("quantities", |v, p| Ok((elem_u64(v, p, "a quantity")?, p)))?
         .map(check_increasing_quantities)
@@ -1350,7 +1276,7 @@ fn lower_explore_job(table: &Table, lib: &TechLibrary) -> Result<ExploreJob, Sce
             ));
         }
     }
-    if let Some(areas) = view.opt_array("areas_mm2", |v, p| elem_f64(v, p, "an area"))? {
+    if let Some(areas) = view.opt_array("areas_mm2", elem_area)? {
         space.areas_mm2 = areas;
     }
     if let Some(q) = view.opt_array("quantities", |v, p| Ok((elem_u64(v, p, "a quantity")?, p)))? {

@@ -514,6 +514,28 @@ mod tests {
     }
 
     #[test]
+    fn explore_and_yield_areas_are_rejected_at_the_element() {
+        // An invalid area element is a positioned schema error (a 400 when
+        // served), not a run-time failure of the job (a 422).
+        let cases = [
+            (
+                "[explore]\nnodes = [\"7nm\"]\nareas_mm2 = [400.0, -1.0]\n",
+                "line 4, column",
+            ),
+            (
+                "[[yield]]\nname = \"y\"\ntechs = [\"7nm\"]\nareas_mm2 = [400.0, -1.0]\n",
+                "line 5, column",
+            ),
+        ];
+        for (job, position) in cases {
+            let err = Scenario::from_toml(&minimal(job)).expect_err(job);
+            let message = err.to_string();
+            assert!(message.starts_with(position), "{job:?}: {message}");
+            assert!(message.contains("invalid area: -1"), "{job:?}: {message}");
+        }
+    }
+
+    #[test]
     fn scheme_parameter_keys_without_their_scheme_are_rejected_at_the_key() {
         // (key line, schemes that build it) — the key is line 4, column 1
         // of every case, after `name`, `[explore]` and `schemes`.

@@ -6,6 +6,7 @@
 //! round-trip to a byte-identical exploration CSV.
 
 use chiplet_actuary::dse::explore::{explore, ExploreRequest};
+use chiplet_actuary::dse::portfolio::CorePolicy;
 use chiplet_actuary::figures::{fig10, fig2, fig6, fig8, fig9};
 use chiplet_actuary::prelude::reuse::{OcmeSpec, ScmsSpec};
 use chiplet_actuary::prelude::*;
@@ -392,8 +393,9 @@ fn run_shared_is_byte_identical_and_reuses_cores_across_runs() {
 
     let reference = scenario.run(2).unwrap();
     let cache = SharedCoreCache::new(4096);
-    let cold = scenario.run_shared(2, &cache, tag).unwrap();
-    let warm = scenario.run_shared(2, &cache, tag).unwrap();
+    let shared = |tag| CorePolicy::Shared { cache: &cache, tag };
+    let cold = scenario.run_with(2, shared(tag), None).unwrap();
+    let warm = scenario.run_with(2, shared(tag), None).unwrap();
 
     // Every artifact of every run renders byte-identically: the cache only
     // short-circuits the quantity-independent core evaluations.
@@ -410,7 +412,7 @@ fn run_shared_is_byte_identical_and_reuses_cores_across_runs() {
     }
 
     // A different library tag is invisible to the warm cores.
-    let other = scenario.run_shared(2, &cache, [0xAB; 32]).unwrap();
+    let other = scenario.run_with(2, shared([0xAB; 32]), None).unwrap();
     for (c, o) in cold.explores.iter().zip(&other.explores) {
         assert_eq!(o.result.core_evaluations(), c.result.core_evaluations());
     }
@@ -469,7 +471,9 @@ fn run_streamed_segments_reassemble_to_the_batch_run_byte_for_byte() {
     let mut sink = Collect {
         segments: Vec::new(),
     };
-    let streamed = scenario.run_streamed(2, &mut sink).unwrap();
+    let streamed = scenario
+        .run_with(2, CorePolicy::Cached, Some(&mut sink))
+        .unwrap();
 
     // The returned run is the same run: every artifact renders
     // byte-identically to the batch path.
@@ -551,6 +555,69 @@ fn run_streamed_segments_reassemble_to_the_batch_run_byte_for_byte() {
 }
 
 #[test]
+fn delivery_without_a_refined_grid_is_the_batch_artifact_stream() {
+    // Every job kind, with an exhaustive explore job: nothing streams
+    // segment by segment, so the sink receives exactly the batch
+    // artifacts, whole and in order (costs, yields, explores, sweeps).
+    let scenario = Scenario::from_toml(concat!(
+        "name = \"all-kinds\"\n",
+        "[[portfolio]]\n",
+        "name = \"mcm\"\n",
+        "scheme = \"scms\"\n",
+        "node = \"7nm\"\n",
+        "chiplet_module_area_mm2 = 200.0\n",
+        "multiplicities = [1, 2, 4]\n",
+        "integration = \"mcm\"\n",
+        "quantity = 500000\n",
+        "[[yield]]\n",
+        "name = \"y\"\n",
+        "techs = [\"7nm\"]\n",
+        "areas_mm2 = [100, 200]\n",
+        "[[sweep]]\n",
+        "name = \"re\"\n",
+        "node = \"7nm\"\n",
+        "chiplets = 2\n",
+        "integrations = [\"soc\", \"mcm\"]\n",
+        "areas_mm2 = [200, 400]\n",
+        "[explore]\n",
+        "name = \"job\"\n",
+        "nodes = [\"7nm\"]\n",
+        "areas_mm2 = [200, 400, 600]\n",
+        "quantities = [500000, 2000000]\n",
+        "outputs = [\"grid\", \"winners\"]\n",
+    ))
+    .unwrap();
+    let batch = scenario.run(2).unwrap();
+    let mut sink = Collect {
+        segments: Vec::new(),
+    };
+    scenario
+        .run_with(2, CorePolicy::Cached, Some(&mut sink))
+        .unwrap();
+
+    assert!(sink
+        .segments
+        .iter()
+        .all(|(_, continuation, _)| !continuation));
+    let delivered: Vec<(String, String)> = sink
+        .segments
+        .into_iter()
+        .map(|(name, _, csv)| (name, csv))
+        .collect();
+    let expected: Vec<(String, String)> = batch
+        .artifacts()
+        .into_iter()
+        .map(|a| (a.name().to_string(), a.csv()))
+        .collect();
+    let names: Vec<&str> = expected.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        ["costs", "yields", "job-grid", "job-winners", "re-sweep"]
+    );
+    assert_eq!(delivered, expected);
+}
+
+#[test]
 fn a_declining_stream_sink_aborts_the_run() {
     /// Accepts `budget` segments, then declines.
     struct Stop {
@@ -568,7 +635,7 @@ fn a_declining_stream_sink_aborts_the_run() {
     // surface as an engine error naming the job, not a silent success.
     for budget in [0, 2] {
         let err = scenario
-            .run_streamed(2, &mut Stop { budget })
+            .run_with(2, CorePolicy::Cached, Some(&mut Stop { budget }))
             .expect_err("a declined delivery must abort the run");
         let text = err.to_string();
         assert!(
